@@ -57,7 +57,7 @@ const OPTS: &[Opt] = &[
     Opt {
         name: "--io-timeout-ms",
         value: "N",
-        help: "per-hop socket timeout for forwards and checks (default 30000)",
+        help: "stall limit for a backend exchange or a client write (default 30000)",
     },
     Opt {
         name: "--max-cycles",

@@ -1,5 +1,5 @@
 //! The readiness-based connection core: one thread, `poll(2)`, and a
-//! per-connection state machine.
+//! per-connection state machine, shared by `serve` and the `router`.
 //!
 //! The original transport spawned one thread per connection, which made
 //! connection count the service's scaling ceiling: N open connections
@@ -11,19 +11,27 @@
 //! ```text
 //!              ┌────────────────────────────────────────────┐
 //!              │                 reactor loop               │
-//!              │  poll(listener, waker, conns…)             │
+//!              │  poll(listener, waker, conns…, handler's)  │
+//!              │    ├─ handler sockets → Handler::on_ready  │
 //!              │    ├─ accept  → new Conn (nonblocking)     │
 //!              │    ├─ readable→ read → split lines → inbox │
-//!              │    ├─ inbox   → parse → execute            │
-//!              │    │     verbs: answered inline            │
-//!              │    │     simulate: Service::enqueue        │
-//!              │    │       cache hit → zero-copy reply     │
-//!              │    │       admitted  → pending (rx)        │
-//!              │    ├─ pending → try_recv → queue reply     │
+//!              │    ├─ inbox   → Handler::execute           │
+//!              │    │     reply now  → queue it             │
+//!              │    │     later      → pending              │
+//!              │    ├─ pending → Handler::poll → queue      │
 //!              │    └─ writable→ flush out (partial-write   │
 //!              │                 aware, stall watchdog)     │
 //!              └────────────────────────────────────────────┘
 //! ```
+//!
+//! # The handler
+//!
+//! What a request *means* is a [`Handler`]'s business; everything about
+//! moving bytes is the reactor's. Serve's handler
+//! ([`crate::server`]) hands simulations to the `Service`; the
+//! router's ([`crate::router`]) forwards them to a backend over pooled
+//! connections it registers in the same poll set. Neither ever blocks
+//! the loop.
 //!
 //! # The per-connection state machine
 //!
@@ -32,23 +40,23 @@
 //! `max_request_line` with the same typed-reject-then-discard behavior
 //! the threaded transport had (an oversized line costs one
 //! `bad_request`, never the connection). **Execute**: complete lines
-//! run through [`crate::protocol::parse_request`]; verbs answer inline,
-//! simulations go through [`Service::enqueue`] so the reactor never
-//! blocks on the pool. **Pending**: at most one in-flight simulation
-//! per connection — pipelined lines wait in the connection's inbox so
-//! replies stay in request order, exactly like the threaded handler.
-//! **Write**: a queue of output chunks flushed as far as the socket
-//! allows; a cached response is written straight from the shared
-//! `Arc<str>` bytes, no copy.
+//! that are valid UTF-8 and not blank go to [`Handler::execute`].
+//! **Pending**: at most one in-flight request per connection —
+//! pipelined lines wait in the connection's inbox so replies stay in
+//! request order, exactly like the threaded handler. **Write**: a queue
+//! of output chunks flushed as far as the socket allows; a cached
+//! response is written straight from the shared `Arc<str>` bytes, and a
+//! relayed one from the buffer it was read into — no copy either way.
 //!
 //! # Why the loop can sleep
 //!
 //! `poll(2)` wakes the loop for socket readiness, but batch completions
 //! happen on the batcher thread. The service's completion notifier
-//! (see [`Service::set_notifier`]) writes one byte into a self-pipe (a
-//! `UnixStream` pair) registered with `poll`, so a finished batch wakes
-//! the reactor immediately — the loop needs no short tick to deliver
-//! replies, and an idle server parks in the kernel.
+//! (see [`crate::service::Service::set_notifier`]) writes one byte into
+//! a self-pipe (a `UnixStream` pair) registered with `poll`, so a
+//! finished batch wakes the reactor immediately — the loop needs no
+//! short tick to deliver replies, and an idle server parks in the
+//! kernel.
 //!
 //! # Bounds
 //!
@@ -59,14 +67,12 @@
 //! reading forfeits the connection after the configured `write_timeout`
 //! without write progress — one stuck reader cannot wedge the drain.
 
-use crate::protocol::{self, Request};
-use crate::service::{Reply, Service, Ticket};
+use crate::protocol;
 use crate::signal;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,7 +85,8 @@ const PIPELINE_MAX: usize = 32;
 const OUT_HIGH_WATER: usize = 4 << 20;
 
 /// Poll timeout when nothing else bounds the sleep: the cadence at
-/// which the loop re-checks the drain flag.
+/// which the loop re-checks the drain flag and runs the handler's
+/// timers.
 const IDLE_TICK: Duration = Duration::from_millis(25);
 
 /// Counters the reactor keeps about itself, surfaced as the `transport`
@@ -139,15 +146,25 @@ pub fn stats_with_transport(service_stats_json: &str, t: TransportSnapshot) -> S
     out
 }
 
-/// One chunk of queued output. Cached responses are written straight
-/// from the shared `Arc<str>` (zero-copy); everything else is owned.
-enum Chunk {
+/// One chunk of queued output.
+pub(crate) enum Chunk {
+    /// A shared reply line (a cache hit), written without a copy; the
+    /// reactor queues its newline after it.
     Shared(Arc<str>),
+    /// Owned bytes, written as they are: they end with their newline.
     Owned(Vec<u8>),
+    /// The newline after a `Shared` line.
     Newline,
 }
 
 impl Chunk {
+    /// An owned reply line: `line` and its newline.
+    pub(crate) fn line(line: String) -> Chunk {
+        let mut bytes = line.into_bytes();
+        bytes.push(b'\n');
+        Chunk::Owned(bytes)
+    }
+
     fn bytes(&self) -> &[u8] {
         match self {
             Chunk::Shared(s) => s.as_bytes(),
@@ -157,15 +174,54 @@ impl Chunk {
     }
 }
 
-/// A simulation whose reply the reactor is waiting on.
-struct PendingReply {
-    rx: Receiver<Reply>,
-    integrity: bool,
-    deadline: Option<Instant>,
+/// What a [`Handler`] made of one request line.
+pub(crate) enum Step<P> {
+    /// The reply, ready now.
+    Reply(Chunk),
+    /// The reply comes later: the reactor polls `P` and parks the
+    /// connection's later lines until it lands.
+    Pending(P),
+    /// The `shutdown` verb: acknowledge, close this connection once the
+    /// ack is flushed, and drain the reactor.
+    Drain,
+}
+
+/// The part of a front end that gives requests their meaning. The
+/// reactor owns accept, line framing, the oversized-line reject,
+/// one-in-flight-per-connection ordering, flushing, the write-stall
+/// watchdog and the drain; a handler answers lines.
+pub(crate) trait Handler {
+    /// A request whose reply is not ready yet.
+    type Pending;
+
+    /// Runs one request line (valid UTF-8, not blank).
+    fn execute(&mut self, line: &str) -> Step<Self::Pending>;
+
+    /// The reply to `p` once it exists (a timeout is a reply too).
+    fn poll(&mut self, p: &mut Self::Pending) -> Option<Chunk>;
+
+    /// When the reactor must look at `p` again even if nothing wakes it.
+    fn deadline(&self, _p: &Self::Pending) -> Option<Instant> {
+        None
+    }
+
+    /// The client waiting on `p` is gone; its reply is never asked for.
+    fn cancel(&mut self, _p: Self::Pending) {}
+
+    /// The handler's own sockets to poll, each with whether it wants to
+    /// write (reading, errors and hangups are always watched).
+    fn sockets(&self) -> Vec<(&TcpStream, bool)> {
+        Vec::new()
+    }
+
+    /// Called once per loop pass, before any connection steps, with a
+    /// flag per socket from the last [`Handler::sockets`] call (same
+    /// order) telling whether it woke. Runs the handler's timers too.
+    fn on_ready(&mut self, _ready: &[bool]) {}
 }
 
 /// Per-connection state machine.
-struct Conn {
+struct Conn<P> {
     stream: TcpStream,
     /// Partial request line under accumulation.
     buf: Vec<u8>,
@@ -178,8 +234,8 @@ struct Conn {
     out: VecDeque<Chunk>,
     out_pos: usize,
     out_bytes: usize,
-    /// The in-flight simulation, if any (at most one per connection).
-    pending: Option<PendingReply>,
+    /// The in-flight request, if any (at most one per connection).
+    pending: Option<P>,
     /// When the current write stall began (output queued, socket full).
     write_stall_since: Option<Instant>,
     /// Peer half-closed its read side (EOF seen).
@@ -188,8 +244,8 @@ struct Conn {
     close_after_flush: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+impl<P> Conn<P> {
+    fn new(stream: TcpStream) -> Conn<P> {
         Conn {
             stream,
             buf: Vec::new(),
@@ -217,10 +273,10 @@ impl Conn {
     }
 
     /// True while the connection still owes someone bytes: queued
-    /// lines, an in-flight simulation, or unflushed output. A drain
-    /// waits for busy connections and hangs up on the rest (a partial
-    /// line in `buf` does not count — the threaded transport dropped
-    /// those on drain too).
+    /// lines, an in-flight request, or unflushed output. A drain waits
+    /// for busy connections and hangs up on the rest (a partial line in
+    /// `buf` does not count — the threaded transport dropped those on
+    /// drain too).
     fn busy(&self) -> bool {
         !self.inbox.is_empty() || !self.out.is_empty() || self.pending.is_some()
     }
@@ -231,18 +287,14 @@ impl Conn {
             || (self.read_closed && !self.busy() && self.buf.is_empty())
     }
 
-    fn push_owned(&mut self, line: String) {
-        let mut bytes = line.into_bytes();
-        bytes.push(b'\n');
-        self.out_bytes += bytes.len();
-        self.out.push_back(Chunk::Owned(bytes));
-    }
-
-    /// Queues a shared response line without copying its body.
-    fn push_shared(&mut self, line: Arc<str>) {
-        self.out_bytes += line.len() + 1;
-        self.out.push_back(Chunk::Shared(line));
-        self.out.push_back(Chunk::Newline);
+    /// Queues one reply line; a shared body is followed by its newline.
+    fn push(&mut self, chunk: Chunk) {
+        let shared = matches!(chunk, Chunk::Shared(_));
+        self.out_bytes += chunk.bytes().len() + shared as usize;
+        self.out.push_back(chunk);
+        if shared {
+            self.out.push_back(Chunk::Newline);
+        }
     }
 }
 
@@ -275,69 +327,59 @@ impl Waker {
     pub fn wake(&self) {}
 }
 
-/// The reactor: owns the listener, the waker pipe, and every
-/// connection.
-pub struct Reactor {
+/// The reactor: owns the listener, the waker pipe, every connection,
+/// and the handler.
+pub(crate) struct Reactor<H: Handler> {
     listener: TcpListener,
-    service: Arc<Service>,
+    handler: H,
+    /// Longest request line accepted.
+    max_line: usize,
+    /// A client whose socket takes no bytes this long loses it.
+    write_timeout: Duration,
     stats: Arc<TransportStats>,
     stop: Arc<AtomicBool>,
-    conns: Vec<Conn>,
+    conns: Vec<Conn<H::Pending>>,
     waker: Waker,
     #[cfg(unix)]
     waker_rx: std::os::unix::net::UnixStream,
 }
 
-impl Reactor {
-    /// Builds a reactor on an already-bound listener and registers the
-    /// service completion notifier so batch results wake the loop.
-    #[cfg(unix)]
-    pub fn new(
+impl<H: Handler> Reactor<H> {
+    /// Builds a reactor on an already-bound listener.
+    pub(crate) fn new(
         listener: TcpListener,
-        service: Arc<Service>,
+        handler: H,
+        max_line: usize,
+        write_timeout: Duration,
         stats: Arc<TransportStats>,
         stop: Arc<AtomicBool>,
-    ) -> io::Result<Reactor> {
+    ) -> io::Result<Reactor<H>> {
         listener.set_nonblocking(true)?;
-        let (waker_tx, waker_rx) = std::os::unix::net::UnixStream::pair()?;
-        waker_tx.set_nonblocking(true)?;
-        waker_rx.set_nonblocking(true)?;
-        let waker = Waker(Arc::new(waker_tx));
-        let hook = waker.clone();
-        service.set_notifier(move || hook.wake());
+        #[cfg(unix)]
+        let (waker, waker_rx) = {
+            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            (Waker(Arc::new(tx)), rx)
+        };
+        #[cfg(not(unix))]
+        let waker = Waker;
         Ok(Reactor {
             listener,
-            service,
+            handler,
+            max_line,
+            write_timeout,
             stats,
             stop,
             conns: Vec::new(),
             waker,
+            #[cfg(unix)]
             waker_rx,
         })
     }
 
-    /// Portable fallback constructor: same loop, driven by a short
-    /// sleep instead of `poll(2)`.
-    #[cfg(not(unix))]
-    pub fn new(
-        listener: TcpListener,
-        service: Arc<Service>,
-        stats: Arc<TransportStats>,
-        stop: Arc<AtomicBool>,
-    ) -> io::Result<Reactor> {
-        listener.set_nonblocking(true)?;
-        Ok(Reactor {
-            listener,
-            service,
-            stats,
-            stop,
-            conns: Vec::new(),
-            waker: Waker,
-        })
-    }
-
     /// A handle that wakes the loop from another thread.
-    pub fn waker(&self) -> Waker {
+    pub(crate) fn waker(&self) -> Waker {
         self.waker.clone()
     }
 
@@ -347,8 +389,8 @@ impl Reactor {
 
     /// Runs the loop until a drain completes: stop accepting, let every
     /// connection with queued or in-flight work deliver it, hang up on
-    /// the idle rest, then return. The caller joins the batcher.
-    pub fn run(mut self) {
+    /// the idle rest, then return.
+    pub(crate) fn run(mut self) {
         loop {
             let draining = self.draining();
             if draining {
@@ -363,8 +405,9 @@ impl Reactor {
                 }
             }
 
-            let ready = self.wait_for_readiness(draining);
+            let (ready, handler_ready) = self.wait_for_readiness(draining);
             self.stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
+            self.handler.on_ready(&handler_ready);
 
             if !draining {
                 self.accept_new();
@@ -377,13 +420,15 @@ impl Reactor {
                 // Connections accepted this very pass have no readiness
                 // entry yet; probe them optimistically (a dry read is
                 // one cheap would-block).
-                let readable = ready.get(i).is_none_or(|r| r.0);
+                let readable = ready.get(i).copied().unwrap_or(true);
                 if self.step_conn(i, readable).is_err() || self.conns[i].finished() {
                     closed.push(i);
                 }
             }
             for &i in closed.iter().rev() {
-                self.conns.swap_remove(i);
+                if let Some(p) = self.conns.swap_remove(i).pending {
+                    self.handler.cancel(p);
+                }
                 self.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
             }
         }
@@ -391,10 +436,11 @@ impl Reactor {
 
     /// Parks in `poll(2)` until a socket is ready, the waker fires, or
     /// the tick elapses. Registers the listener (accepts), the waker
-    /// pipe (batch completions), and every connection. Returns one
-    /// `(readable,)` flag per connection, index-aligned with `conns`.
+    /// pipe (batch completions), every connection, and the handler's
+    /// sockets. Returns a readable flag per connection (index-aligned
+    /// with `conns`) and a woke flag per handler socket.
     #[cfg(unix)]
-    fn wait_for_readiness(&mut self, draining: bool) -> Vec<(bool,)> {
+    fn wait_for_readiness(&mut self, draining: bool) -> (Vec<bool>, Vec<bool>) {
         use std::os::unix::io::AsRawFd;
 
         let mut fds: Vec<sys::PollFd> = Vec::with_capacity(self.conns.len() + 2);
@@ -415,6 +461,15 @@ impl Reactor {
             // surface in `revents` regardless of `events`.
             fds.push(sys::PollFd::new(c.stream.as_raw_fd(), events));
         }
+        let handler_base = fds.len();
+        for (stream, write) in self.handler.sockets() {
+            let events = if write {
+                sys::POLLIN | sys::POLLOUT
+            } else {
+                sys::POLLIN
+            };
+            fds.push(sys::PollFd::new(stream.as_raw_fd(), events));
+        }
 
         // Sleep no longer than the nearest deadline among in-flight
         // requests; a write-stalled connection keeps a short tick so
@@ -422,7 +477,7 @@ impl Reactor {
         let now = Instant::now();
         let mut timeout = IDLE_TICK;
         for c in &self.conns {
-            if let Some(d) = c.pending.as_ref().and_then(|p| p.deadline) {
+            if let Some(d) = c.pending.as_ref().and_then(|p| self.handler.deadline(p)) {
                 timeout = timeout.min(d.saturating_duration_since(now));
             }
             if c.write_stall_since.is_some() {
@@ -436,15 +491,24 @@ impl Reactor {
         let mut sink = [0u8; 64];
         while matches!((&self.waker_rx).read(&mut sink), Ok(n) if n > 0) {}
 
-        fds[base..].iter().map(|fd| (fd.readable(),)).collect()
+        (
+            fds[base..handler_base]
+                .iter()
+                .map(|fd| fd.readable())
+                .collect(),
+            fds[handler_base..].iter().map(|fd| fd.woke()).collect(),
+        )
     }
 
     /// Portable fallback: a short sleep, then optimistic progress on
-    /// every connection (a dry read just reports would-block).
+    /// every socket (a dry read just reports would-block).
     #[cfg(not(unix))]
-    fn wait_for_readiness(&mut self, _draining: bool) -> Vec<(bool,)> {
+    fn wait_for_readiness(&mut self, _draining: bool) -> (Vec<bool>, Vec<bool>) {
         std::thread::sleep(Duration::from_millis(2));
-        vec![(true,); self.conns.len()]
+        (
+            vec![true; self.conns.len()],
+            vec![true; self.handler.sockets().len()],
+        )
     }
 
     fn accept_new(&mut self) {
@@ -486,7 +550,7 @@ impl Reactor {
     /// Nonblocking read: accumulate bytes, split complete lines into
     /// the inbox, enforce the line-length bound.
     fn read_conn(&mut self, i: usize) -> Result<(), ()> {
-        let max_line = self.service.config().max_request_line;
+        let max_line = self.max_line;
         let mut scratch = [0u8; 16 * 1024];
         while self.conns[i].wants_read() {
             match self.conns[i].stream.read(&mut scratch) {
@@ -550,79 +614,29 @@ impl Reactor {
     }
 
     fn reject_oversized(&mut self, i: usize, max_line: usize, keep_skipping: bool) {
-        let e = protocol::ServeError::new(
-            protocol::ErrorKind::BadRequest,
-            format!("request line exceeds {max_line} bytes"),
-        );
         let conn = &mut self.conns[i];
         conn.buf.clear();
         conn.skipping = keep_skipping;
-        conn.push_owned(protocol::error_response(&e));
+        conn.push(bad_request(format!(
+            "request line exceeds {max_line} bytes"
+        )));
     }
 
-    /// Checks the connection's in-flight simulation: deliver a landed
-    /// reply, or time it out at its deadline (the reactor-side mirror
-    /// of `Service::submit`'s `recv_timeout`).
+    /// Queues the in-flight request's reply once the handler has it.
     fn deliver_pending(&mut self, i: usize) {
-        let Some(p) = &self.conns[i].pending else {
+        let conn = &mut self.conns[i];
+        let Some(p) = conn.pending.as_mut() else {
             return;
         };
-        let integrity = p.integrity;
-        match p.rx.try_recv() {
-            Ok(reply) => {
-                self.conns[i].pending = None;
-                self.queue_reply(i, reply, integrity);
-            }
-            Err(TryRecvError::Empty) => {
-                let expired = matches!(p.deadline, Some(d) if Instant::now() >= d);
-                if expired {
-                    self.conns[i].pending = None;
-                    self.service.record_deadline_exceeded();
-                    self.queue_reply(
-                        i,
-                        Err(protocol::ServeError::new(
-                            protocol::ErrorKind::DeadlineExceeded,
-                            "deadline expired before the result was ready",
-                        )),
-                        integrity,
-                    );
-                }
-            }
-            Err(TryRecvError::Disconnected) => {
-                self.conns[i].pending = None;
-                self.queue_reply(
-                    i,
-                    Err(protocol::ServeError::new(
-                        protocol::ErrorKind::Internal,
-                        "service stopped before replying",
-                    )),
-                    integrity,
-                );
-            }
-        }
-    }
-
-    fn queue_reply(&mut self, i: usize, reply: Reply, integrity: bool) {
-        let conn = &mut self.conns[i];
-        match reply {
-            Ok(line) if integrity => {
-                conn.push_owned(protocol::with_integrity_trailer(&line));
-            }
-            Ok(line) => conn.push_shared(line),
-            Err(e) => {
-                let body = protocol::error_response(&e);
-                if integrity {
-                    conn.push_owned(protocol::with_integrity_trailer(&body));
-                } else {
-                    conn.push_owned(body);
-                }
-            }
+        if let Some(reply) = self.handler.poll(p) {
+            conn.pending = None;
+            conn.push(reply);
         }
     }
 
     /// Executes queued lines until one goes in-flight (replies must
-    /// stay in request order, so one pending simulation parks the
-    /// rest) or the output queue is over its high-water mark.
+    /// stay in request order, so one pending request parks the rest)
+    /// or the output queue is over its high-water mark.
     fn execute_inbox(&mut self, i: usize) {
         while self.conns[i].pending.is_none()
             && !self.conns[i].close_after_flush
@@ -631,81 +645,24 @@ impl Reactor {
             let Some(raw) = self.conns[i].inbox.pop_front() else {
                 return;
             };
-            self.execute_line(i, &raw);
-        }
-    }
-
-    /// Handles one request line — the reactor-side equivalent of the
-    /// threaded transport's `respond`.
-    fn execute_line(&mut self, i: usize, raw: &[u8]) {
-        let line = match std::str::from_utf8(raw) {
-            Ok(s) => s,
-            Err(_) => {
-                let e = protocol::ServeError::new(
-                    protocol::ErrorKind::BadRequest,
-                    "request is not valid UTF-8",
-                );
-                self.conns[i].push_owned(protocol::error_response(&e));
-                return;
+            let Ok(line) = std::str::from_utf8(&raw) else {
+                self.conns[i].push(bad_request("request is not valid UTF-8".into()));
+                continue;
+            };
+            if line.trim().is_empty() {
+                continue; // blank keep-alive line
             }
-        };
-        if line.trim().is_empty() {
-            return; // blank keep-alive line
-        }
-        match protocol::parse_request(line, self.service.default_max_cycles()) {
-            Ok(Request::Ping) => {
-                self.conns[i].push_owned("{\"ok\":true,\"pong\":true}".to_string());
-            }
-            Ok(Request::Stats) => {
-                let body =
-                    stats_with_transport(&self.service.stats().to_json(), self.stats.snapshot());
-                self.conns[i].push_owned(body);
-            }
-            Ok(Request::Shutdown) => {
-                // Acknowledge, then trip this reactor's stop flag (not
-                // the process-global signal flag — in-process test
-                // servers must not drain each other).
-                self.conns[i].push_owned("{\"ok\":true,\"draining\":true}".to_string());
-                self.conns[i].close_after_flush = true;
-                self.stop.store(true, Ordering::SeqCst);
-                self.service.begin_shutdown();
-            }
-            Ok(Request::Simulate(req)) => {
-                let integrity = req.integrity;
-                // Same clamp `Service::submit` applies to its wait.
-                let deadline = req.deadline_ms.map(|ms| {
-                    Instant::now()
-                        + Duration::from_millis(ms).min(self.service.config().max_deadline)
-                });
-                match self.service.enqueue(*req) {
-                    Ok(Ticket::Ready(hit)) => self.queue_reply(i, Ok(hit), integrity),
-                    Ok(Ticket::Admitted(rx)) => {
-                        self.conns[i].pending = Some(PendingReply {
-                            rx,
-                            integrity,
-                            deadline,
-                        });
-                    }
-                    Err(e) => self.queue_reply(i, Err(e), integrity),
-                }
-            }
-            Ok(Request::Verify(req)) => {
-                // Lint is milliseconds of dataflow solving; running it
-                // inline matches the service's synchronous verify path.
-                let reply = self.service.verify_program(*req);
-                self.queue_reply(i, reply, false);
-            }
-            Err(e) => {
-                // The parse failed before the `integrity` flag could be
-                // decoded, so honor it best-effort from the raw line
-                // (the exact token a trailer-checking client injects) —
-                // otherwise its typed parse error would look like a
-                // stripped-trailer corruption.
-                let body = protocol::error_response(&e);
-                if line.contains("\"integrity\":true") {
-                    self.conns[i].push_owned(protocol::with_integrity_trailer(&body));
-                } else {
-                    self.conns[i].push_owned(body);
+            let conn = &mut self.conns[i];
+            match self.handler.execute(line) {
+                Step::Reply(reply) => conn.push(reply),
+                Step::Pending(p) => conn.pending = Some(p),
+                Step::Drain => {
+                    // Trip this reactor's stop flag, not the
+                    // process-global signal flag: in-process test
+                    // servers must not drain each other.
+                    conn.push(Chunk::line("{\"ok\":true,\"draining\":true}".into()));
+                    conn.close_after_flush = true;
+                    self.stop.store(true, Ordering::SeqCst);
                 }
             }
         }
@@ -715,7 +672,7 @@ impl Reactor {
     /// write leaves `out_pos` mid-chunk. A stall longer than the
     /// configured write timeout forfeits the connection.
     fn flush_conn(&mut self, i: usize) -> Result<(), ()> {
-        let write_timeout = self.service.config().write_timeout;
+        let write_timeout = self.write_timeout;
         let conn = &mut self.conns[i];
         while let Some(chunk) = conn.out.front() {
             let bytes = chunk.bytes();
@@ -745,6 +702,31 @@ impl Reactor {
         conn.write_stall_since = None;
         Ok(())
     }
+}
+
+fn bad_request(message: String) -> Chunk {
+    let e = protocol::ServeError::new(protocol::ErrorKind::BadRequest, message);
+    Chunk::line(protocol::error_response(&e))
+}
+
+/// Opens a nonblocking TCP connection to `addr` without waiting for the
+/// handshake: the connect completes (or fails) in the background, and
+/// the first write or read on the stream reports which. Off Linux this
+/// falls back to a connect bounded by `timeout`.
+pub(crate) fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
+    #[cfg(target_os = "linux")]
+    let stream = {
+        let _ = timeout;
+        sys::connect(addr)?
+    };
+    #[cfg(not(target_os = "linux"))]
+    let stream = {
+        let s = TcpStream::connect_timeout(&addr, timeout)?;
+        s.set_nonblocking(true)?;
+        s
+    };
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// Raw `poll(2)` plumbing, declared directly against libc — the
@@ -787,6 +769,11 @@ mod sys {
         pub fn readable(&self) -> bool {
             self.revents & (POLLIN | POLLERR | POLLHUP) != 0
         }
+
+        /// Any event at all: readable, writable, error or hangup.
+        pub fn woke(&self) -> bool {
+            self.revents != 0
+        }
     }
 
     extern "C" {
@@ -800,6 +787,65 @@ mod sys {
     pub fn poll(fds: &mut [PollFd], timeout: Duration) -> i32 {
         let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
         unsafe { c_poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms) }
+    }
+
+    /// Starts a nonblocking connect to `addr` (`socket` with
+    /// `SOCK_NONBLOCK`, then `connect`, which answers `EINPROGRESS`).
+    #[cfg(target_os = "linux")]
+    pub fn connect(addr: std::net::SocketAddr) -> std::io::Result<std::net::TcpStream> {
+        use std::io::Error;
+        use std::net::SocketAddr;
+        use std::os::unix::io::FromRawFd;
+
+        const AF_INET: u16 = 2;
+        const AF_INET6: u16 = 10;
+        const SOCK_STREAM: i32 = 1;
+        const SOCK_NONBLOCK: i32 = 0o4000;
+        const SOCK_CLOEXEC: i32 = 0o2000000;
+        const EINPROGRESS: i32 = 115;
+        extern "C" {
+            fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+            #[link_name = "connect"]
+            fn c_connect(fd: i32, addr: *const u8, len: u32) -> i32;
+        }
+
+        // `struct sockaddr_in` (16 bytes) or `struct sockaddr_in6` (28)
+        // in Linux's layout: family in host order, port and flow info
+        // in network order.
+        let mut raw = [0u8; 28];
+        let (family, len) = match addr {
+            SocketAddr::V4(a) => {
+                raw[4..8].copy_from_slice(&a.ip().octets());
+                (AF_INET, 16)
+            }
+            SocketAddr::V6(a) => {
+                raw[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
+                raw[8..24].copy_from_slice(&a.ip().octets());
+                raw[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+                (AF_INET6, 28)
+            }
+        };
+        raw[..2].copy_from_slice(&family.to_ne_bytes());
+        raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+
+        // SAFETY: a plain syscall on constant arguments; a negative
+        // return is an error, anything else a descriptor nobody owns yet.
+        let fd = unsafe { socket(family as i32, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+        if fd < 0 {
+            return Err(Error::last_os_error());
+        }
+        // SAFETY: `fd` is the fresh socket above, owned by nothing else;
+        // the stream closes it on drop, on the error path below too.
+        let stream = unsafe { std::net::TcpStream::from_raw_fd(fd) };
+        // SAFETY: `raw` holds a sockaddr of `len` bytes in the layout the
+        // kernel expects for `family`, and outlives the call.
+        if unsafe { c_connect(fd, raw.as_ptr(), len) } < 0 {
+            let e = Error::last_os_error();
+            if e.raw_os_error() != Some(EINPROGRESS) {
+                return Err(e);
+            }
+        }
+        Ok(stream)
     }
 }
 

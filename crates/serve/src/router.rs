@@ -43,30 +43,45 @@
 //!
 //! # Forwarding
 //!
-//! Replies are relayed **verbatim** — the router never re-renders a
-//! backend's bytes, so the byte-identity invariant survives the extra
-//! hop (integrity trailers included). A forward that fails (connection
-//! error, or a retryable `overloaded`/`shutting_down` answer) fails
-//! over around the ring to the next live backend; only when every
-//! backend has been tried does the client get a router-local typed
-//! `overloaded` error, which retrying clients handle.
+//! The router runs on the [`crate::reactor`]: one thread serves its
+//! clients and talks to the backends, and never blocks on either.
+//! Backend connections are persistent nonblocking sockets in the same
+//! poll set, kept on a per-backend idle list. Each carries at most one
+//! request at a time, so a cold miss never holds up another client's
+//! hit, and the pool grows to the number of concurrent forwards. Health
+//! checks and the `stats` fan-out use the same connections.
+//!
+//! Replies are relayed **verbatim** — moved from the backend socket's
+//! buffer onto the client's output queue without a copy, a UTF-8 check
+//! or a parse, so the byte-identity invariant survives the extra hop
+//! (integrity trailers included). Whether to fail over is read off the
+//! envelope: only a reply starting `{"ok":false` is parsed, and only a
+//! typed `overloaded`/`shutting_down` fails over (shedding is not
+//! sickness, so it does not count toward ejection). A connection error
+//! fails over too, and does count — except on a pooled socket that dies
+//! before any reply byte: it went stale while idle (say, the backend
+//! restarted), so the request is retried once on a fresh connect to the
+//! same backend. Only when every live backend has been tried does the
+//! client get a router-local typed `overloaded` error, which retrying
+//! clients handle.
 
 use crate::journal::fnv1a;
 use crate::protocol::{self, ErrorKind, Request, ServeError};
+use crate::reactor::{self, Chunk, Handler, Reactor, Step, TransportStats, Waker};
 use crate::signal;
-use std::io::{self, BufRead, BufReader, ErrorKind as IoKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind as IoKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Accept-loop poll interval.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// The line a health check sends.
+const PING: &[u8] = b"{\"verb\":\"ping\"}\n";
 
-/// Per-connection read timeout: how often an idle handler re-checks
-/// the drain flag.
-const READ_TIMEOUT: Duration = Duration::from_millis(250);
+/// The line a `stats` fan-out sends each backend.
+const STATS: &[u8] = b"{\"verb\":\"stats\"}\n";
 
 /// Tunables for one [`Router`].
 #[derive(Debug, Clone)]
@@ -81,7 +96,11 @@ pub struct RouterConfig {
     pub eject_after: u32,
     /// Consecutive successful checks before readmission.
     pub readmit_after: u32,
-    /// Per-hop socket timeout for forwards and health checks.
+    /// How long a backend connection carrying a forward, health check
+    /// or `stats` fetch may go without progress (connect, request bytes
+    /// written, reply bytes read) before the exchange counts as failed;
+    /// also how long a client's socket may refuse reply bytes before
+    /// the router drops it.
     pub io_timeout: Duration,
     /// Must match the backends' `--max-cycles` default: the router
     /// parses requests with it to derive the same config fingerprint
@@ -246,10 +265,11 @@ struct RouterCounters {
     local_errors: AtomicU64,
     ejections: AtomicU64,
     readmissions: AtomicU64,
+    backend_connects: AtomicU64,
 }
 
-/// The shared routing core: ring, health table, counters. The TCP
-/// front end and the health checker both hold an `Arc` of this.
+/// The shared routing core: ring, health table, counters. The reactor's
+/// handler and the [`Router`] handle both hold an `Arc` of this.
 pub struct Core {
     config: RouterConfig,
     ring: Ring,
@@ -318,110 +338,11 @@ impl Core {
         }
     }
 
-    /// One wire exchange with backend `idx`: connect, send `line`,
-    /// read one newline-terminated reply (returned without the
-    /// newline, otherwise verbatim).
-    fn exchange(&self, idx: usize, line: &str) -> io::Result<String> {
-        let stream = TcpStream::connect(&self.config.backends[idx])?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
-        let mut writer = stream.try_clone()?;
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut reply = String::new();
-        BufReader::new(stream).read_line(&mut reply)?;
-        match reply.pop() {
-            Some('\n') => Ok(reply),
-            _ => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "reply truncated before newline",
-            )),
-        }
-    }
-
-    /// True when the reply is a typed error worth failing over for
-    /// (the backend is full or draining; another shard can answer).
-    /// The trailer, when present, is stripped before parsing — our
-    /// JSON parser rejects trailing bytes by design.
-    fn is_retryable_reply(reply: &str) -> bool {
-        let (body, _) = protocol::check_integrity_trailer(reply);
-        let Ok(v) = crate::json::parse(body) else {
-            return false;
-        };
-        if v.get("ok").and_then(|o| o.as_bool()) != Some(false) {
-            return false;
-        }
-        matches!(
-            v.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(|k| k.as_str()),
-            Some("overloaded") | Some("shutting_down")
-        )
-    }
-
-    /// Routes one raw request line: pick the owner shard, forward, and
-    /// on failure walk the ring. Returns the reply line to send to the
-    /// client, always exactly one line.
-    pub fn route(&self, raw: &str) -> String {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let parsed = protocol::parse_request(raw, self.config.default_max_cycles);
-        let key = match &parsed {
-            Ok(Request::Ping) => {
-                return "{\"ok\":true,\"pong\":true}".to_string();
-            }
-            Ok(Request::Stats) => return self.stats_json(),
-            // `shutdown` is handled by the connection layer (it drains
-            // the router, not the backends); `route` never sees it.
-            Ok(Request::Shutdown) => {
-                return "{\"ok\":true,\"draining\":true}".to_string();
-            }
-            Ok(req) => routing_key(req).expect("simulate/verify requests always have a key"),
-            Err(e) => {
-                self.counters.local_errors.fetch_add(1, Ordering::Relaxed);
-                return local_error(raw, e);
-            }
-        };
-
-        let alive = self.alive();
-        let mut attempts = 0u32;
-        for idx in self.ring.walk(&key, &alive) {
-            if attempts > 0 {
-                self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            attempts += 1;
-            match self.exchange(idx, raw) {
-                Ok(reply) if Core::is_retryable_reply(&reply) => {
-                    // The backend is up but shedding or draining; its
-                    // health state is its own business — try the next
-                    // shard without marking it down.
-                    continue;
-                }
-                Ok(reply) => {
-                    self.record_success(idx);
-                    self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.backends[idx].forwarded.fetch_add(1, Ordering::Relaxed);
-                    return reply;
-                }
-                Err(_) => {
-                    self.record_failure(idx);
-                    continue;
-                }
-            }
-        }
-        self.counters.exhausted.fetch_add(1, Ordering::Relaxed);
-        let e = ServeError::new(
-            ErrorKind::Overloaded,
-            format!("no backend could answer ({attempts} tried); retry"),
-        );
-        local_error(raw, &e)
-    }
-
     /// The router's `stats` reply: router counters, per-backend
     /// health + ring ownership, each live backend's own `stats`
-    /// spliced in, and cross-backend totals.
-    fn stats_json(&self) -> String {
+    /// (`parts`, fetched by the caller) spliced in, and cross-backend
+    /// totals.
+    fn stats_json(&self, parts: &[Option<String>]) -> String {
         let alive = self.alive();
         let ownership = self.ring.ownership_permille(&alive);
         let c = &self.counters;
@@ -430,7 +351,8 @@ impl Core {
             "{{\"ok\":true,\"router\":{{\"uptime_ms\":{},\
              \"requests\":{},\"forwarded\":{},\"failovers\":{},\
              \"exhausted\":{},\"local_errors\":{},\
-             \"ejections\":{},\"readmissions\":{},\"backends\":[",
+             \"ejections\":{},\"readmissions\":{},\
+             \"backend_connects\":{},\"backends\":[",
             self.started.elapsed().as_millis(),
             c.requests.load(Ordering::Relaxed),
             c.forwarded.load(Ordering::Relaxed),
@@ -439,6 +361,7 @@ impl Core {
             c.local_errors.load(Ordering::Relaxed),
             c.ejections.load(Ordering::Relaxed),
             c.readmissions.load(Ordering::Relaxed),
+            c.backend_connects.load(Ordering::Relaxed),
         ));
         let mut total_completed = 0u64;
         let mut total_cache_hits = 0u64;
@@ -450,16 +373,9 @@ impl Core {
             let b = &self.backends[idx];
             let healthy = alive[idx];
             healthy_count += healthy as u64;
-            // Fetch the backend's own stats (best-effort; an ejected
-            // or unreachable backend reports null).
-            let inner = if healthy {
-                self.exchange(idx, "{\"verb\":\"stats\"}")
-                    .ok()
-                    .and_then(|r| extract_stats_object(&r))
-            } else {
-                None
-            };
-            if let Some(stats) = &inner {
+            // An ejected or unreachable backend reports null.
+            let inner = &parts[idx];
+            if let Some(stats) = inner {
                 if let Ok(v) = crate::json::parse(stats) {
                     let req = v.get("requests");
                     total_completed += req
@@ -491,30 +407,6 @@ impl Core {
         ));
         out
     }
-
-    /// One health-check pass over every backend.
-    fn check_backends(&self) {
-        for idx in 0..self.backends.len() {
-            match self.check_one(idx) {
-                true => self.record_success(idx),
-                false => self.record_failure(idx),
-            }
-        }
-    }
-
-    fn check_one(&self, idx: usize) -> bool {
-        let ping = "{\"verb\":\"ping\"}";
-        match self.exchange(idx, ping) {
-            Ok(reply) => {
-                let (body, _) = protocol::check_integrity_trailer(&reply);
-                crate::json::parse(body)
-                    .ok()
-                    .and_then(|v| v.get("ok").and_then(|o| o.as_bool()))
-                    == Some(true)
-            }
-            Err(_) => false,
-        }
-    }
 }
 
 /// Renders a router-local typed error, honoring the request's
@@ -541,21 +433,395 @@ fn extract_stats_object(reply: &str) -> Option<String> {
     Some(inner.to_string())
 }
 
-/// A running router: the core plus its TCP front end and health
-/// checker. Connection handling is thread-per-connection — the router
-/// holds no per-request simulation state, and its connection counts
-/// are client-sized, not fleet-sized.
+/// True when a backend's reply is a typed error another shard can
+/// answer instead: the backend is shedding (`overloaded`) or draining
+/// (`shutting_down`). Only the envelope decides: a reply is parsed only
+/// when it starts with `{"ok":false`, and error replies are small — a
+/// success reply (megabytes for a Figure 9 cell) is never scanned,
+/// whatever its body holds.
+fn is_retryable(reply: &[u8]) -> bool {
+    if !reply.starts_with(b"{\"ok\":false") {
+        return false;
+    }
+    let Ok(line) = std::str::from_utf8(reply) else {
+        return false;
+    };
+    // The trailer, when present, is stripped before parsing — our JSON
+    // parser rejects trailing bytes by design.
+    let (body, _) = protocol::check_integrity_trailer(line.trim_end_matches('\n'));
+    let Ok(v) = crate::json::parse(body) else {
+        return false;
+    };
+    matches!(
+        v.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(|k| k.as_str()),
+        Some("overloaded" | "shutting_down")
+    )
+}
+
+/// What a backend connection carries a request for.
+#[derive(Clone, Copy)]
+enum Task {
+    /// A client request's attempt on this backend (its job id).
+    Forward(u64),
+    /// This backend's part of a client's `stats` (its job id).
+    Stats(u64),
+    /// A health check.
+    Ping,
+}
+
+/// What the router owes one client request.
+enum Job {
+    /// A request walking the ring: `walk` holds the live backends not
+    /// yet tried, in failover order.
+    Forward {
+        line: String,
+        walk: VecDeque<usize>,
+        tried: u32,
+    },
+    /// A `stats` fan-out: each backend's own stats object, once fetched.
+    Stats {
+        parts: Vec<Option<String>>,
+        waiting: usize,
+    },
+    /// The reply, waiting for the client's connection to take it.
+    Done(Chunk),
+}
+
+/// A backend connection carrying one request.
+struct Link {
+    stream: TcpStream,
+    backend: usize,
+    task: Task,
+    /// Taken from the idle list rather than freshly connected.
+    reused: bool,
+    /// The request line, newline included, and how much is written.
+    request: Vec<u8>,
+    sent: usize,
+    reply: Vec<u8>,
+    /// The last time the exchange made progress.
+    progress: Instant,
+}
+
+/// How a backend exchange ended.
+enum Outcome {
+    /// The whole reply arrived.
+    Reply,
+    Failed,
+}
+
+impl Link {
+    /// Moves the exchange along as far as the socket allows without
+    /// blocking; `None` while it is still under way.
+    fn advance(&mut self, now: Instant) -> Option<Outcome> {
+        while self.sent < self.request.len() {
+            match (&self.stream).write(&self.request[self.sent..]) {
+                Ok(0) => return Some(Outcome::Failed),
+                Ok(n) => {
+                    self.sent += n;
+                    self.progress = now;
+                }
+                Err(e) if e.kind() == IoKind::WouldBlock => return None,
+                Err(e) if e.kind() == IoKind::Interrupted => {}
+                Err(_) => return Some(Outcome::Failed),
+            }
+        }
+        let before = self.reply.len();
+        let eof = match (&self.stream).read_to_end(&mut self.reply) {
+            Ok(_) => true,
+            Err(e) if e.kind() == IoKind::WouldBlock => false,
+            Err(_) => return Some(Outcome::Failed),
+        };
+        if self.reply.len() > before {
+            self.progress = now;
+        }
+        // A reply is one line and nothing follows it (the connection
+        // carries one request at a time), so it is complete exactly
+        // when its last byte is the newline — no scan of the body. A
+        // connection the backend closed after replying goes back to the
+        // pool all the same: its next use finds it stale.
+        match self.reply.last() {
+            Some(b'\n') => Some(Outcome::Reply),
+            _ => eof.then_some(Outcome::Failed),
+        }
+    }
+}
+
+/// The router's reactor handler: routes each request to the shard that
+/// owns its key over pooled backend connections, fails over around the
+/// ring, runs the health checks, and relays replies untouched.
+struct Relay {
+    core: Arc<Core>,
+    stats: Arc<TransportStats>,
+    addrs: Vec<SocketAddr>,
+    /// Per backend, the connections with no request on them.
+    idle: Vec<Vec<TcpStream>>,
+    /// The connections carrying a request.
+    busy: Vec<Link>,
+    jobs: HashMap<u64, Job>,
+    next_job: u64,
+    /// Per backend, whether a health check is in flight.
+    pinging: Vec<bool>,
+    next_check: Instant,
+}
+
+impl Relay {
+    fn new(core: Arc<Core>, stats: Arc<TransportStats>, addrs: Vec<SocketAddr>) -> Relay {
+        Relay {
+            core,
+            stats,
+            idle: addrs.iter().map(|_| Vec::new()).collect(),
+            busy: Vec::new(),
+            jobs: HashMap::new(),
+            next_job: 0,
+            pinging: vec![false; addrs.len()],
+            next_check: Instant::now(),
+            addrs,
+        }
+    }
+
+    fn add_job(&mut self, job: Job) -> u64 {
+        self.next_job += 1;
+        self.jobs.insert(self.next_job, job);
+        self.next_job
+    }
+
+    /// Puts `request` on a connection to backend `b`: an idle one, or a
+    /// fresh nonblocking connect when none is idle or `fresh` asks.
+    fn send(&mut self, task: Task, b: usize, request: Vec<u8>, fresh: bool) -> io::Result<()> {
+        let pooled = if fresh { None } else { self.idle[b].pop() };
+        let reused = pooled.is_some();
+        let stream = match pooled {
+            Some(s) => s,
+            None => {
+                let c = &self.core;
+                c.counters.backend_connects.fetch_add(1, Ordering::Relaxed);
+                reactor::connect(self.addrs[b], c.config.io_timeout)?
+            }
+        };
+        self.busy.push(Link {
+            stream,
+            backend: b,
+            task,
+            reused,
+            request,
+            sent: 0,
+            reply: Vec::new(),
+            progress: Instant::now(),
+        });
+        Ok(())
+    }
+
+    /// Sends a forward to the next backend on its walk; once none is
+    /// left, answers the client with a typed `overloaded`.
+    fn forward(&mut self, id: u64) {
+        loop {
+            let Some(Job::Forward { line, walk, tried }) = self.jobs.get_mut(&id) else {
+                return;
+            };
+            let Some(b) = walk.pop_front() else {
+                self.core.counters.exhausted.fetch_add(1, Ordering::Relaxed);
+                let e = ServeError::new(
+                    ErrorKind::Overloaded,
+                    format!("no backend could answer ({tried} tried); retry"),
+                );
+                let reply = Chunk::line(local_error(line, &e));
+                self.jobs.insert(id, Job::Done(reply));
+                return;
+            };
+            if *tried > 0 {
+                self.core.counters.failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            *tried += 1;
+            let request = [line.as_bytes(), b"\n"].concat();
+            if self.send(Task::Forward(id), b, request, false).is_ok() {
+                return;
+            }
+            self.core.record_failure(b);
+        }
+    }
+
+    /// Starts a `stats` fan-out; an ejected backend's part is `null`.
+    fn start_stats(&mut self) -> Step<u64> {
+        let alive = self.core.alive();
+        let id = self.add_job(Job::Stats {
+            parts: vec![None; alive.len()],
+            waiting: alive.len(),
+        });
+        for (b, alive) in alive.into_iter().enumerate() {
+            if !alive
+                || self
+                    .send(Task::Stats(id), b, STATS.to_vec(), false)
+                    .is_err()
+            {
+                self.settle(Task::Stats(id), b, None);
+            }
+        }
+        Step::Pending(id)
+    }
+
+    /// Acts on a finished backend exchange.
+    fn finish(&mut self, link: Link, outcome: Outcome) {
+        let b = link.backend;
+        match outcome {
+            Outcome::Reply => {
+                self.idle[b].push(link.stream);
+                self.settle(link.task, b, Some(link.reply));
+            }
+            // A pooled connection that dies before any reply byte went
+            // stale while idle; that says nothing about the backend's
+            // health, so retry once on a fresh connect.
+            Outcome::Failed
+                if link.reused
+                    && link.reply.is_empty()
+                    && self.send(link.task, b, link.request, true).is_ok() => {}
+            Outcome::Failed => self.settle(link.task, b, None),
+        }
+    }
+
+    /// Acts on backend `b`'s reply for `task`; `None` when the exchange
+    /// failed.
+    fn settle(&mut self, task: Task, b: usize, reply: Option<Vec<u8>>) {
+        match (task, reply) {
+            (Task::Ping, reply) => {
+                self.pinging[b] = false;
+                match reply.is_some_and(|r| r.starts_with(b"{\"ok\":true")) {
+                    true => self.core.record_success(b),
+                    false => self.core.record_failure(b),
+                }
+            }
+            (Task::Stats(id), reply) => {
+                let text = reply.and_then(|r| String::from_utf8(r).ok());
+                let part = text.and_then(|r| extract_stats_object(r.trim_end()));
+                let Some(Job::Stats { parts, waiting }) = self.jobs.get_mut(&id) else {
+                    return;
+                };
+                parts[b] = part;
+                *waiting -= 1;
+                if *waiting == 0 {
+                    let body = self.core.stats_json(parts);
+                    let body = reactor::stats_with_transport(&body, self.stats.snapshot());
+                    self.jobs.insert(id, Job::Done(Chunk::line(body)));
+                }
+            }
+            // The backend is up but shedding or draining; its health is
+            // its own business — try the next shard without marking it.
+            (Task::Forward(id), Some(reply)) if is_retryable(&reply) => self.forward(id),
+            (Task::Forward(id), Some(reply)) => {
+                self.core.record_success(b);
+                self.core.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+                self.core.backends[b]
+                    .forwarded
+                    .fetch_add(1, Ordering::Relaxed);
+                if let Some(job) = self.jobs.get_mut(&id) {
+                    *job = Job::Done(Chunk::Owned(reply));
+                }
+            }
+            (Task::Forward(id), None) => {
+                self.core.record_failure(b);
+                self.forward(id);
+            }
+        }
+    }
+}
+
+impl Handler for Relay {
+    type Pending = u64;
+
+    fn execute(&mut self, line: &str) -> Step<u64> {
+        let core = Arc::clone(&self.core);
+        core.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let key = match protocol::parse_request(line, core.config.default_max_cycles) {
+            Ok(Request::Ping) => {
+                return Step::Reply(Chunk::line("{\"ok\":true,\"pong\":true}".into()))
+            }
+            Ok(Request::Stats) => return self.start_stats(),
+            // `shutdown` drains the router; backends keep serving.
+            Ok(Request::Shutdown) => return Step::Drain,
+            Ok(req) => routing_key(&req).expect("simulate/verify requests always have a key"),
+            Err(e) => {
+                core.counters.local_errors.fetch_add(1, Ordering::Relaxed);
+                return Step::Reply(Chunk::line(local_error(line, &e)));
+            }
+        };
+        let alive = core.alive();
+        let id = self.add_job(Job::Forward {
+            line: line.to_string(),
+            walk: core.ring.walk(&key, &alive).collect(),
+            tried: 0,
+        });
+        self.forward(id);
+        Step::Pending(id)
+    }
+
+    fn poll(&mut self, id: &mut u64) -> Option<Chunk> {
+        if !matches!(self.jobs.get(id), Some(Job::Done(_))) {
+            return None;
+        }
+        match self.jobs.remove(id) {
+            Some(Job::Done(reply)) => Some(reply),
+            _ => None,
+        }
+    }
+
+    fn cancel(&mut self, id: u64) {
+        self.jobs.remove(&id);
+    }
+
+    fn sockets(&self) -> Vec<(&TcpStream, bool)> {
+        self.busy
+            .iter()
+            .map(|l| (&l.stream, l.sent < l.request.len()))
+            .collect()
+    }
+
+    fn on_ready(&mut self, ready: &[bool]) {
+        let now = Instant::now();
+        let timeout = self.core.config.io_timeout;
+        let mut done = Vec::new();
+        // Descending, so `swap_remove` only moves links already visited.
+        for i in (0..self.busy.len()).rev() {
+            let link = &mut self.busy[i];
+            let outcome = match ready.get(i).copied().unwrap_or(true) {
+                true => link.advance(now),
+                false => None,
+            };
+            let stalled = now.duration_since(link.progress) >= timeout;
+            if let Some(outcome) = outcome.or(stalled.then_some(Outcome::Failed)) {
+                done.push((self.busy.swap_remove(i), outcome));
+            }
+        }
+        for (link, outcome) in done {
+            self.finish(link, outcome);
+        }
+        if now >= self.next_check {
+            self.next_check = now + self.core.config.check_interval;
+            for b in 0..self.addrs.len() {
+                if !self.pinging[b] {
+                    self.pinging[b] = true;
+                    if self.send(Task::Ping, b, PING.to_vec(), false).is_err() {
+                        self.settle(Task::Ping, b, None);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A running router: the routing core plus the reactor thread that
+/// does all its I/O — client connections, pooled backend connections,
+/// health checks and the `stats` fan-out.
 pub struct Router {
     core: Arc<Core>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicU64>,
-    accept_handle: Option<thread::JoinHandle<()>>,
-    checker_handle: Option<thread::JoinHandle<()>>,
+    waker: Waker,
+    reactor_handle: Option<thread::JoinHandle<()>>,
 }
 
 impl Router {
-    /// Binds `addr`, starts the accept loop and the health checker.
+    /// Resolves the backends, binds `addr`, and starts the reactor.
     pub fn spawn(addr: &str, config: RouterConfig) -> io::Result<Router> {
         if config.backends.is_empty() {
             return Err(io::Error::new(
@@ -563,78 +829,40 @@ impl Router {
                 "router needs at least one backend",
             ));
         }
+        // Resolved once, here: a name lookup blocks, and the reactor
+        // must not.
+        let addrs = config
+            .backends
+            .iter()
+            .map(|b| {
+                let addr = b.to_socket_addrs()?.next();
+                addr.ok_or_else(|| io::Error::other(format!("{b}: no address")))
+            })
+            .collect::<io::Result<Vec<SocketAddr>>>()?;
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let core = Core::new(config);
         let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicU64::new(0));
-
-        let checker_handle = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("router-health".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) && !signal::requested() {
-                        core.check_backends();
-                        // Sleep in small slices so a drain is noticed
-                        // promptly even with long check intervals.
-                        let deadline = Instant::now() + core.config.check_interval;
-                        while Instant::now() < deadline {
-                            if stop.load(Ordering::SeqCst) || signal::requested() {
-                                return;
-                            }
-                            thread::sleep(ACCEPT_POLL);
-                        }
-                    }
-                })
-                .expect("spawn health checker")
-        };
-
-        let accept_handle = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let active = Arc::clone(&active);
-            thread::Builder::new()
-                .name("router-accept".into())
-                .spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) || signal::requested() {
-                        return;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let core = Arc::clone(&core);
-                            let stop = Arc::clone(&stop);
-                            let conn_active = Arc::clone(&active);
-                            active.fetch_add(1, Ordering::SeqCst);
-                            let spawned = thread::Builder::new().name("router-conn".into()).spawn(
-                                move || {
-                                    handle_connection(stream, &core, &stop);
-                                    conn_active.fetch_sub(1, Ordering::SeqCst);
-                                },
-                            );
-                            if spawned.is_err() {
-                                active.fetch_sub(1, Ordering::SeqCst);
-                            }
-                        }
-                        Err(e) if e.kind() == IoKind::WouldBlock => {
-                            thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(e) if e.kind() == IoKind::Interrupted => {}
-                        Err(_) => thread::sleep(ACCEPT_POLL),
-                    }
-                })
-                .expect("spawn accept loop")
-        };
-
+        let stats = Arc::new(TransportStats::default());
+        let relay = Relay::new(Arc::clone(&core), Arc::clone(&stats), addrs);
+        let reactor = Reactor::new(
+            listener,
+            relay,
+            core.config.max_request_line,
+            core.config.io_timeout,
+            stats,
+            Arc::clone(&stop),
+        )?;
+        let waker = reactor.waker();
+        let reactor_handle = thread::Builder::new()
+            .name("router-reactor".into())
+            .spawn(move || reactor.run())?;
         Ok(Router {
             core,
             addr: bound,
             stop,
-            active,
-            accept_handle: Some(accept_handle),
-            checker_handle: Some(checker_handle),
+            waker,
+            reactor_handle: Some(reactor_handle),
         })
     }
 
@@ -653,28 +881,21 @@ impl Router {
         self.stop.load(Ordering::SeqCst) || signal::requested()
     }
 
-    /// Graceful drain: stop accepting, let handlers finish their
-    /// in-flight request, stop the checker. Idempotent.
+    /// Graceful drain: stop accepting, let connections deliver their
+    /// in-flight requests, hang up on the rest. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        while self.active.load(Ordering::SeqCst) > 0 {
-            thread::sleep(ACCEPT_POLL);
-        }
-        if let Some(h) = self.checker_handle.take() {
-            let _ = h.join();
-        }
+        self.waker.wake();
+        self.wait_for_shutdown();
     }
 
     /// Blocks until a drain is requested (SIGTERM/SIGINT or the
-    /// `shutdown` verb), then drains. The `router` binary parks here.
+    /// `shutdown` verb) and has finished. The `router` binary parks
+    /// here.
     pub fn wait_for_shutdown(&mut self) {
-        while !self.draining() {
-            thread::sleep(ACCEPT_POLL);
+        if let Some(h) = self.reactor_handle.take() {
+            let _ = h.join();
         }
-        self.shutdown();
     }
 }
 
@@ -682,103 +903,6 @@ impl Drop for Router {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Serves one client connection until EOF, error, or drain — the same
-/// line discipline as the serve transport (blank lines keep alive,
-/// oversized lines get a typed reject-and-discard).
-fn handle_connection(stream: TcpStream, core: &Arc<Core>, stop: &AtomicBool) {
-    let max_line = core.config.max_request_line;
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-        return;
-    }
-    let _ = writer.set_write_timeout(Some(core.config.io_timeout));
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut skipping = false;
-    loop {
-        let allowance = ((max_line + 1).saturating_sub(buf.len()).max(1)) as u64;
-        match (&mut reader).take(allowance).read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                if !buf.is_empty() && !skipping {
-                    let _ = respond(&mut writer, core, stop, &buf);
-                }
-                return;
-            }
-            Ok(_) if buf.ends_with(b"\n") => {
-                if skipping {
-                    skipping = false;
-                } else if respond(&mut writer, core, stop, &buf).is_err() {
-                    return;
-                }
-                buf.clear();
-            }
-            Ok(_) => {
-                if skipping {
-                    buf.clear();
-                } else if buf.len() > max_line {
-                    let e = ServeError::new(
-                        ErrorKind::BadRequest,
-                        format!("request line exceeds {max_line} bytes"),
-                    );
-                    if write_line(&mut writer, &protocol::error_response(&e)).is_err() {
-                        return;
-                    }
-                    skipping = true;
-                    buf.clear();
-                }
-            }
-            Err(e) if e.kind() == IoKind::WouldBlock || e.kind() == IoKind::TimedOut => {
-                if stop.load(Ordering::SeqCst) || signal::requested() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == IoKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Handles one request line; `Err(())` closes the connection.
-fn respond(
-    writer: &mut TcpStream,
-    core: &Arc<Core>,
-    stop: &AtomicBool,
-    raw: &[u8],
-) -> Result<(), ()> {
-    let line = match std::str::from_utf8(raw) {
-        Ok(s) => s,
-        Err(_) => {
-            let e = ServeError::new(ErrorKind::BadRequest, "request is not valid UTF-8");
-            return write_line(writer, &protocol::error_response(&e));
-        }
-    };
-    if line.trim().is_empty() {
-        return Ok(());
-    }
-    // `shutdown` drains the *router* (backends keep serving other
-    // routers); intercepted before routing.
-    if matches!(
-        protocol::parse_request(line, core.config.default_max_cycles),
-        Ok(Request::Shutdown)
-    ) {
-        let _ = write_line(writer, "{\"ok\":true,\"draining\":true}");
-        stop.store(true, Ordering::SeqCst);
-        return Err(());
-    }
-    write_line(writer, &core.route(line))
-}
-
-fn write_line(writer: &mut TcpStream, line: &str) -> Result<(), ()> {
-    let mut bytes = Vec::with_capacity(line.len() + 1);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes.push(b'\n');
-    writer.write_all(&bytes).map_err(|_| ())?;
-    writer.flush().map_err(|_| ())
 }
 
 #[cfg(test)]
@@ -929,6 +1053,109 @@ mod tests {
         let trailered = local_error("{\"workload\":\"gzip\",\"integrity\":true}", &e);
         let (_, ok) = protocol::check_integrity_trailer(&trailered);
         assert_eq!(ok, Some(true));
+    }
+
+    /// A relay over two backends that are listeners nobody accepts on:
+    /// a connect lands in the backlog, which is all the relay needs to
+    /// put a request on a socket, and no reply ever comes.
+    fn silent_backends(io_timeout: Duration) -> (Vec<TcpListener>, Arc<Core>, Relay) {
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let core = Core::new(RouterConfig {
+            io_timeout,
+            ..RouterConfig::new(addrs.iter().map(SocketAddr::to_string).collect())
+        });
+        let mut relay = Relay::new(Arc::clone(&core), Arc::default(), addrs);
+        relay.next_check = Instant::now() + Duration::from_secs(3600); // no pings
+        (listeners, core, relay)
+    }
+
+    /// Only the envelope decides failover: typed `overloaded` and
+    /// `shutting_down` errors (trailer or not) move on to the next shard
+    /// without counting against the backend, and a success reply is
+    /// relayed as it came, whatever text its body holds.
+    #[test]
+    fn failover_is_decided_by_the_envelope_alone() {
+        let (_listeners, core, mut relay) = silent_backends(Duration::from_secs(30));
+        // Answers the one request in flight with `reply`.
+        let answer = |relay: &mut Relay, reply: &str| {
+            let mut link = relay.busy.pop().expect("a request is on a backend socket");
+            assert!(relay.busy.is_empty());
+            link.reply = format!("{reply}\n").into_bytes();
+            relay.finish(link, Outcome::Reply);
+        };
+        let request = "{\"workload\":\"gzip\",\"policy\":\"postdoms\"}";
+        let success = "{\"ok\":true,\"workload\":\"gzip\",\"policy\":\"postdoms\",\
+                       \"result\":{\"note\":{\"kind\":\"overloaded\"}}}";
+        let shed = protocol::error_response(&ServeError::new(ErrorKind::Overloaded, "full"));
+        let draining = protocol::with_integrity_trailer(&protocol::error_response(
+            &ServeError::new(ErrorKind::ShuttingDown, "draining"),
+        ));
+        for first in [shed.as_str(), draining.as_str(), success] {
+            let Step::Pending(mut id) = relay.execute(request) else {
+                panic!("a simulate request is forwarded");
+            };
+            answer(&mut relay, first);
+            if first != success {
+                assert!(relay.poll(&mut id).is_none(), "{first}: failed over");
+                answer(&mut relay, success);
+            }
+            match relay.poll(&mut id) {
+                Some(Chunk::Owned(bytes)) => assert_eq!(bytes, format!("{success}\n").as_bytes()),
+                _ => panic!("{first}: the success reply is relayed as it came"),
+            }
+        }
+        let c = &core.counters;
+        assert_eq!(c.failovers.load(Ordering::Relaxed), 2);
+        assert_eq!(c.forwarded.load(Ordering::Relaxed), 3);
+        assert_eq!(core.ejections(), 0);
+        for b in &core.backends {
+            assert_eq!(
+                b.failures.load(Ordering::Relaxed),
+                0,
+                "shedding is not sickness"
+            );
+            assert!(b.healthy.load(Ordering::SeqCst));
+        }
+    }
+
+    /// A backend that takes the request and never answers costs one
+    /// `io_timeout` without progress, then counts as a failure and the
+    /// request fails over; with every backend silent, the client gets
+    /// the router's own typed `overloaded`.
+    #[test]
+    fn a_silent_backend_times_out_and_fails_over() {
+        let timeout = Duration::from_millis(20);
+        let (_listeners, core, mut relay) = silent_backends(timeout);
+        let Step::Pending(mut id) = relay.execute("{\"workload\":\"gzip\"}") else {
+            panic!("a simulate request is forwarded");
+        };
+        relay.on_ready(&[true]); // writes the request
+        for tried in 1..=2 {
+            assert!(relay.poll(&mut id).is_none(), "still waiting");
+            std::thread::sleep(timeout * 2);
+            relay.on_ready(&[false]);
+            let failures: Vec<u64> = core
+                .backends
+                .iter()
+                .map(|b| b.failures.load(Ordering::Relaxed))
+                .collect();
+            assert_eq!(failures.iter().sum::<u64>(), tried, "{failures:?}");
+            relay.on_ready(&[true]); // writes the failover's request
+        }
+        match relay.poll(&mut id) {
+            Some(Chunk::Owned(bytes)) => assert!(
+                bytes.starts_with(b"{\"ok\":false,\"error\":{\"kind\":\"overloaded\""),
+                "{}",
+                String::from_utf8_lossy(&bytes)
+            ),
+            _ => panic!("exhausted walk answers the client"),
+        }
+        let c = &core.counters;
+        assert_eq!(c.failovers.load(Ordering::Relaxed), 1);
+        assert_eq!(c.exhausted.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -15,15 +15,19 @@
 //! the admission queue and join the batcher. Clients that were admitted
 //! before the drain began still receive their replies.
 
-use crate::reactor::{Reactor, TransportSnapshot, TransportStats, Waker};
-use crate::service::{Service, ServiceConfig};
+use crate::protocol::{self, ErrorKind, Request, ServeError};
+use crate::reactor::{
+    self, Chunk, Handler, Reactor, Step, TransportSnapshot, TransportStats, Waker,
+};
+use crate::service::{Reply, Service, ServiceConfig, Ticket};
 use crate::signal;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often [`Server::wait_for_shutdown`] re-checks the drain flag.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
@@ -50,13 +54,22 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(TransportStats::default());
 
+        let handler = ServeHandler {
+            service: Arc::clone(&service),
+            stats: Arc::clone(&stats),
+        };
         let reactor = Reactor::new(
             listener,
-            Arc::clone(&service),
+            handler,
+            service.config().max_request_line,
+            service.config().write_timeout,
             Arc::clone(&stats),
             Arc::clone(&stop),
         )?;
         let waker = reactor.waker();
+        // Batch completions wake the loop to deliver their replies.
+        let hook = waker.clone();
+        service.set_notifier(move || hook.wake());
         let reactor_handle = thread::Builder::new()
             .name("serve-reactor".into())
             .spawn(move || reactor.run())
@@ -120,5 +133,110 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Serve's reactor handler: verbs answer inline, simulations go through
+/// [`Service::enqueue`] so the reactor never blocks on the pool.
+struct ServeHandler {
+    service: Arc<Service>,
+    stats: Arc<TransportStats>,
+}
+
+/// A simulation whose reply the reactor is waiting on.
+struct PendingReply {
+    rx: Receiver<Reply>,
+    integrity: bool,
+    deadline: Option<Instant>,
+}
+
+impl Handler for ServeHandler {
+    type Pending = PendingReply;
+
+    fn execute(&mut self, line: &str) -> Step<PendingReply> {
+        match protocol::parse_request(line, self.service.default_max_cycles()) {
+            Ok(Request::Ping) => Step::Reply(Chunk::line("{\"ok\":true,\"pong\":true}".into())),
+            Ok(Request::Stats) => Step::Reply(Chunk::line(reactor::stats_with_transport(
+                &self.service.stats().to_json(),
+                self.stats.snapshot(),
+            ))),
+            Ok(Request::Shutdown) => {
+                self.service.begin_shutdown();
+                Step::Drain
+            }
+            Ok(Request::Simulate(req)) => {
+                let integrity = req.integrity;
+                // Same clamp `Service::submit` applies to its wait.
+                let deadline = req.deadline_ms.map(|ms| {
+                    Instant::now()
+                        + Duration::from_millis(ms).min(self.service.config().max_deadline)
+                });
+                match self.service.enqueue(*req) {
+                    Ok(Ticket::Ready(hit)) => Step::Reply(reply_chunk(Ok(hit), integrity)),
+                    Ok(Ticket::Admitted(rx)) => Step::Pending(PendingReply {
+                        rx,
+                        integrity,
+                        deadline,
+                    }),
+                    Err(e) => Step::Reply(reply_chunk(Err(e), integrity)),
+                }
+            }
+            // Lint is milliseconds of dataflow solving; running it
+            // inline matches the service's synchronous verify path.
+            Ok(Request::Verify(req)) => {
+                Step::Reply(reply_chunk(self.service.verify_program(*req), false))
+            }
+            // The parse failed before the `integrity` flag could be
+            // decoded, so honor it best-effort from the raw line (the
+            // exact token a trailer-checking client injects) — otherwise
+            // its typed parse error would look like a stripped-trailer
+            // corruption.
+            Err(e) => Step::Reply(reply_chunk(Err(e), line.contains("\"integrity\":true"))),
+        }
+    }
+
+    /// Delivers a landed reply, or times the request out at its
+    /// deadline (the reactor-side mirror of `Service::submit`'s
+    /// `recv_timeout`).
+    fn poll(&mut self, p: &mut PendingReply) -> Option<Chunk> {
+        let reply = match p.rx.try_recv() {
+            Ok(reply) => reply,
+            Err(TryRecvError::Empty) => {
+                if !matches!(p.deadline, Some(d) if Instant::now() >= d) {
+                    return None;
+                }
+                self.service.record_deadline_exceeded();
+                Err(ServeError::new(
+                    ErrorKind::DeadlineExceeded,
+                    "deadline expired before the result was ready",
+                ))
+            }
+            Err(TryRecvError::Disconnected) => Err(ServeError::new(
+                ErrorKind::Internal,
+                "service stopped before replying",
+            )),
+        };
+        Some(reply_chunk(reply, p.integrity))
+    }
+
+    fn deadline(&self, p: &PendingReply) -> Option<Instant> {
+        p.deadline
+    }
+}
+
+/// Renders a service reply; a cache hit without a trailer goes out as
+/// the shared bytes themselves.
+fn reply_chunk(reply: Reply, integrity: bool) -> Chunk {
+    match reply {
+        Ok(line) if integrity => Chunk::line(protocol::with_integrity_trailer(&line)),
+        Ok(line) => Chunk::Shared(line),
+        Err(e) => {
+            let body = protocol::error_response(&e);
+            Chunk::line(if integrity {
+                protocol::with_integrity_trailer(&body)
+            } else {
+                body
+            })
+        }
     }
 }

@@ -2,11 +2,13 @@
 //! backends: byte-identity of routed replies vs a single server vs the
 //! offline ground truth, failover with ejection when a backend dies
 //! mid-run, stats aggregation, the drain-the-router-not-the-backends
-//! shutdown verb, and the machine-parseable `SERVE_ADDR=`/`ROUTER_ADDR=`
-//! first stdout line of both binaries.
+//! shutdown verb, the machine-parseable `SERVE_ADDR=`/`ROUTER_ADDR=`
+//! first stdout line of both binaries, and the relay itself: a 2.46 MB
+//! reply byte for byte, pipelined replies in order, and a restarted
+//! backend reached through the connection pool.
 
 use polyflow_serve::json;
-use polyflow_serve::protocol::{ok_response, parse_request, Request};
+use polyflow_serve::protocol::{ok_response, parse_request, with_integrity_trailer, Request};
 use polyflow_serve::router::{Router, RouterConfig};
 use polyflow_serve::{Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -148,6 +150,126 @@ fn routed_replies_are_byte_identical_across_shard_counts() {
         );
         router.shutdown();
     }
+}
+
+/// The largest Figure 9 reply (mcf under postdoms, 2.46 MB) crosses the
+/// router byte-identical to the offline rendering, cold and cached,
+/// with and without an integrity trailer.
+#[test]
+fn largest_figure9_reply_relays_byte_identical() {
+    let backends = spawn_backends(2);
+    let mut router = Router::spawn("127.0.0.1:0", router_config(addrs(&backends))).expect("router");
+    let router_addr = router.addr().to_string();
+    let line = sim_line("mcf", "postdoms", BUDGET);
+    let want = offline_expected(&line);
+    assert!(
+        want.len() > 2_400_000,
+        "the 2.46 MB cell: {} bytes",
+        want.len()
+    );
+    let with_integrity = format!(
+        "{{\"workload\":\"mcf\",\"policy\":\"postdoms\",\"integrity\":true,\
+         \"config\":{{\"max_cycles\":{BUDGET}}}}}"
+    );
+    assert_eq!(exchange_at(&router_addr, &line), want, "cold");
+    assert_eq!(exchange_at(&router_addr, &line), want, "cached");
+    assert_eq!(
+        exchange_at(&router_addr, &with_integrity),
+        with_integrity_trailer(&want),
+        "with the integrity trailer"
+    );
+    router.shutdown();
+}
+
+/// Five requests pipelined on one client connection come back in
+/// request order, whichever shard answers each and however long each
+/// takes.
+#[test]
+fn pipelined_requests_come_back_in_request_order() {
+    let backends = spawn_backends(2);
+    let mut router = Router::spawn("127.0.0.1:0", router_config(addrs(&backends))).expect("router");
+    let sims = [
+        sim_line("gzip", "postdoms", BUDGET),
+        sim_line("bzip2", "baseline", BUDGET),
+        sim_line("gzip", "baseline", BUDGET),
+    ];
+    let lines = [
+        sims[0].as_str(),
+        "ping",
+        sims[1].as_str(),
+        "{\"workload\":",
+        sims[2].as_str(),
+    ];
+    let stream = TcpStream::connect(router.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut w = stream.try_clone().expect("clone");
+    w.write_all(format!("{}\n", lines.join("\n")).as_bytes())
+        .expect("write all five at once");
+    let mut reader = BufReader::new(stream);
+    let mut replies = Vec::new();
+    for _ in &lines {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        replies.push(reply.trim_end_matches('\n').to_string());
+    }
+    assert_eq!(replies[0], offline_expected(&sims[0]));
+    assert_eq!(replies[1], "{\"ok\":true,\"pong\":true}");
+    assert_eq!(replies[2], offline_expected(&sims[1]));
+    assert!(replies[3].starts_with("{\"ok\":false"), "{}", replies[3]);
+    assert_eq!(replies[4], offline_expected(&sims[2]));
+    router.shutdown();
+}
+
+/// A backend restarted on the same port leaves the router's pooled
+/// socket to it stale: the next request retries once on a fresh
+/// connect and succeeds, and nothing counts against the backend.
+#[test]
+fn restarted_backend_is_reached_on_a_fresh_connect_without_ejection() {
+    let mut backend = Server::spawn("127.0.0.1:0", backend_config()).expect("bind backend");
+    let addr = backend.addr().to_string();
+    // One health check at start-up, then none: only the forward meets
+    // the stale socket.
+    let config = RouterConfig {
+        check_interval: Duration::from_secs(3600),
+        ..router_config(vec![addr.clone()])
+    };
+    let mut router = Router::spawn("127.0.0.1:0", config).expect("router");
+    let router_addr = router.addr().to_string();
+    let line = sim_line("gzip", "postdoms", BUDGET);
+    let want = offline_expected(&line);
+    assert_eq!(exchange_at(&router_addr, &line), want, "before the restart");
+
+    backend.shutdown();
+    drop(backend);
+    let _backend = Server::spawn(&addr, backend_config()).expect("rebind the same port");
+    assert_eq!(exchange_at(&router_addr, &line), want, "after the restart");
+
+    let stats = json::parse(&exchange_at(&router_addr, "stats")).expect("stats parse");
+    let router_obj = stats.get("router").expect("router object");
+    let shard = &router_obj
+        .get("backends")
+        .and_then(json::Json::as_arr)
+        .expect("backends array")[0];
+    assert_eq!(
+        shard.get("healthy").and_then(json::Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(shard.get("failures").and_then(json::Json::as_u64), Some(0));
+    assert_eq!(router.core().ejections(), 0);
+    let connects = router_obj
+        .get("backend_connects")
+        .and_then(json::Json::as_u64)
+        .expect("backend_connects counter");
+    assert!(connects >= 2, "a fresh connect reached the new process");
+    let accepted = router_obj
+        .get("transport")
+        .and_then(|t| t.get("accepted"))
+        .and_then(json::Json::as_u64)
+        .expect("the reactor's transport object");
+    assert_eq!(accepted, 3, "three client connections so far");
+    router.shutdown();
 }
 
 /// Kill one of two backends mid-run: every request still answers with
