@@ -11,13 +11,16 @@
 //! Usage: `ablations [--jobs N] [workload ...]` (default: a 4-benchmark
 //! subset).
 
-use polyflow_bench::sweep::{report_failures, run_grid_with};
+use polyflow_bench::sweep::{report_failures, run_cell_with_config, run_grid_with, Cell};
 use polyflow_bench::{pool, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_sim::{
-    try_simulate_with, DependenceMode, HintCacheSource, MachineConfig, SimError, SimScratch,
-    StaticSpawnSource,
+    try_simulate_opts, DependenceMode, HintCacheSource, MachineConfig, NullSink, SimError,
+    SimOptions, SimScratch, StaticSpawnSource,
 };
+
+/// Every ablation varies the `postdoms` cell.
+const POSTDOMS: Cell = Cell::Static(Policy::Postdoms);
 
 /// One ablation row: a machine-config variant, or the hint-cache capacity
 /// model layered on the unmodified Figure 8 config.
@@ -31,16 +34,15 @@ fn run_variant(
     v: &Variant,
     scratch: &mut SimScratch,
 ) -> Result<polyflow_sim::SimResult, SimError> {
-    let inner = StaticSpawnSource::new(w.analysis.spawn_table(Policy::Postdoms));
     match v {
-        Variant::Config(cfg) => {
-            let mut src = inner;
-            try_simulate_with(&w.prepared(cfg), cfg, &mut src, scratch)
-        }
+        Variant::Config(cfg) => run_cell_with_config(w, POSTDOMS, cfg, scratch),
         Variant::HintCache(entries) => {
-            let cfg = MachineConfig::hpca07();
+            let cfg = POSTDOMS.base_config();
+            let inner = StaticSpawnSource::new(w.analysis.spawn_table(Policy::Postdoms));
             let mut src = HintCacheSource::new(inner, *entries, 4);
-            try_simulate_with(&w.prepared(&cfg), &cfg, &mut src, scratch)
+            let (prepared, opts) = (w.prepared(&cfg), SimOptions::default());
+            try_simulate_opts(&prepared, &cfg, &mut src, scratch, &mut NullSink, opts)
+                .map(|(r, _)| r)
         }
     }
 }
@@ -65,7 +67,7 @@ fn main() {
             .to_vec();
     }
     let workloads = polyflow_bench::prepare_selection(&args);
-    let base_cfg = MachineConfig::hpca07();
+    let base_cfg = POSTDOMS.base_config();
 
     // Build the full variant list up front (labels carry the exact column
     // formatting of the report), then run the whole (workload × variant)
@@ -176,7 +178,7 @@ fn main() {
         pool::resolve_jobs(),
         |w, &ci, scratch| {
             if ci == 0 {
-                w.try_run_baseline_with(scratch)
+                run_cell_with_config(w, Cell::Baseline, &Cell::Baseline.figure_config(), scratch)
             } else {
                 run_variant(w, &rows[ci - 1].1, scratch)
             }

@@ -19,25 +19,36 @@
 //! comparing the baseline's bucket cycles against the run's per-context
 //! average makes the per-bucket deltas sum to exactly the cycles saved.
 
-use polyflow_bench::{parse_policy, PreparedWorkload, POLICY_NAMES};
+use polyflow_bench::sweep::{run_cell, Cell};
+use polyflow_bench::{PreparedWorkload, POLICY_NAMES};
 use polyflow_core::Policy;
-use polyflow_sim::{timeline, Bucket, JsonlSink, NullSink, SimResult};
+use polyflow_sim::{timeline, Bucket, JsonlSink, NullSink, SimOptions, SimResult, TraceSink};
 
 struct Options {
     workload: String,
     asm: Option<String>,
-    policy: Policy,
+    cell: Cell,
     json: bool,
     events: Option<String>,
     top: usize,
     width: usize,
 }
 
+impl Options {
+    /// The run's figure-legend name (`superscalar` for the baseline).
+    fn policy_name(&self) -> String {
+        match self.cell {
+            Cell::Static(p) => p.name(),
+            _ => Policy::None.name(),
+        }
+    }
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         workload: String::new(),
         asm: None,
-        policy: Policy::Postdoms,
+        cell: Cell::Static(Policy::Postdoms),
         json: false,
         events: None,
         top: 10,
@@ -81,7 +92,8 @@ fn parse_args() -> Result<Options, String> {
         opts.workload = positional.next().ok_or("missing <workload>")?;
     }
     if let Some(p) = positional.next() {
-        opts.policy = parse_policy(&p)
+        opts.cell = Cell::parse(&p)
+            .filter(|c| *c != Cell::Reconv)
             .ok_or_else(|| format!("unknown policy `{p}`; one of {POLICY_NAMES:?}"))?;
     }
     Ok(opts)
@@ -127,7 +139,18 @@ fn main() {
         }
     };
     opts.workload = pw.name.clone();
-    let baseline = pw.run_traced(Policy::None, &mut NullSink);
+    let run = |cell: Cell, sink: &mut dyn TraceSink| {
+        let cfg = cell.figure_config();
+        let mut scratch = Default::default();
+        match run_cell(&pw, cell, &cfg, &mut scratch, sink, SimOptions::default()) {
+            Ok((r, _)) => r,
+            Err(e) => {
+                eprintln!("explain: {}/{}: {e}", pw.name, cell.label());
+                std::process::exit(1);
+            }
+        }
+    };
+    let baseline = run(Cell::Baseline, &mut NullSink);
     let run = match &opts.events {
         Some(path) => {
             let file = match std::fs::File::create(path) {
@@ -138,11 +161,11 @@ fn main() {
                 }
             };
             let mut sink = JsonlSink::new(file);
-            let r = pw.run_traced(opts.policy, &mut sink);
+            let r = run(opts.cell, &mut sink);
             eprintln!("wrote {} events to {path}", sink.written());
             r
         }
-        None => pw.run_traced(opts.policy, &mut NullSink),
+        None => run(opts.cell, &mut NullSink),
     };
 
     if opts.json {
@@ -155,7 +178,7 @@ fn main() {
 fn print_json(opts: &Options, baseline: &SimResult, run: &SimResult) {
     println!("{{");
     println!("\"workload\": \"{}\",", opts.workload);
-    println!("\"policy\": \"{}\",", opts.policy.name());
+    println!("\"policy\": \"{}\",", opts.policy_name());
     println!(
         "\"speedup_percent\": {:.2},",
         run.speedup_percent_over(baseline)
@@ -166,7 +189,7 @@ fn print_json(opts: &Options, baseline: &SimResult, run: &SimResult) {
 }
 
 fn print_tables(opts: &Options, baseline: &SimResult, run: &SimResult) {
-    let policy = opts.policy.name();
+    let policy = opts.policy_name();
     println!(
         "== {} under {policy}: {} instrs ==",
         opts.workload, run.instructions

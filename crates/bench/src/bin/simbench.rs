@@ -12,9 +12,9 @@
 //! Usage: `simbench [--repeat N] [--max-cycles N] [--asm PATH] [--json] [workload ...]`
 
 use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
-use polyflow_bench::{cli, polyflow_config, prepare_selection, resolve_max_cycles};
+use polyflow_bench::{cli, prepare_selection};
 use polyflow_core::Policy;
-use polyflow_sim::{MachineConfig, SimOptions, SimScratch};
+use polyflow_sim::{SimOptions, SimScratch};
 use std::time::Instant;
 
 const REPEAT: cli::Flag = cli::Flag {
@@ -85,13 +85,7 @@ fn main() {
     let (repeat, json) = scan_args();
     let workloads = prepare_selection(&args);
 
-    let mut ss_cfg = MachineConfig::superscalar();
-    ss_cfg.max_cycles = resolve_max_cycles();
-    let pf_cfg = polyflow_config();
-    let cells = [
-        (Cell::Baseline, ss_cfg),
-        (Cell::Static(Policy::Postdoms), pf_cfg),
-    ];
+    let cells = [Cell::Baseline, Cell::Static(Policy::Postdoms)].map(|c| (c, c.figure_config()));
 
     let mut scratch = SimScratch::default();
     let mut rows = Vec::with_capacity(workloads.len());

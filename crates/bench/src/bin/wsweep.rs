@@ -79,20 +79,22 @@ fn run_one(bucket: &'static str, seed: u64, dist: &GenDist) -> ProgramRow {
         Err(e) => return fail(e),
     };
 
-    let mut base_cfg = MachineConfig::superscalar();
-    base_cfg.max_cycles = FUZZ_MAX_CYCLES;
-    let mut poly_cfg = MachineConfig::hpca07();
-    poly_cfg.max_cycles = FUZZ_MAX_CYCLES;
     let mut scratch = SimScratch::default();
-    let baseline = match run_cell_with_config(&w, Cell::Baseline, &base_cfg, &mut scratch) {
+    let mut run = |cell: Cell| {
+        let cfg = MachineConfig {
+            max_cycles: FUZZ_MAX_CYCLES,
+            ..cell.base_config()
+        };
+        run_cell_with_config(&w, cell, &cfg, &mut scratch)
+    };
+    let baseline = match run(Cell::Baseline) {
         Ok(r) => r,
         Err(e) => return fail(format!("baseline failed: {e}")),
     };
-    let postdoms =
-        match run_cell_with_config(&w, Cell::Static(Policy::Postdoms), &poly_cfg, &mut scratch) {
-            Ok(r) => r,
-            Err(e) => return fail(format!("postdoms failed: {e}")),
-        };
+    let postdoms = match run(Cell::Static(Policy::Postdoms)) {
+        Ok(r) => r,
+        Err(e) => return fail(format!("postdoms failed: {e}")),
+    };
 
     // Same ground truth and training as `reconv_accuracy`: compiler
     // postdominator targets for branch/jr spawn points vs. what a

@@ -10,12 +10,7 @@
 
 use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::{execute_window, Dataflow, PcIndex, Program, Trace};
-use polyflow_reconv::ReconvConfig;
-use polyflow_sim::{
-    simulate_traced, simulate_with, try_simulate_with, DependenceMode, MachineConfig, NoSpawn,
-    PreparedTrace, ReconvSpawnSource, SimError, SimResult, SimScratch, StaticSpawnSource,
-    TraceSink,
-};
+use polyflow_sim::{MachineConfig, PreparedTrace};
 use polyflow_workloads::Workload;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -28,13 +23,13 @@ pub mod sweep;
 /// A predictor configuration fingerprint ([`MachineConfig::predictor_key`]).
 type PredictorKey = (usize, usize, usize);
 
-/// A workload with its trace and spawn analysis, ready for policy sweeps.
+/// A workload with its trace and spawn analysis, ready for policy sweeps
+/// ([`sweep::run_cell`] runs one cell of it).
 ///
 /// The trace and its config-independent oracles (dataflow, PC index) are
 /// computed once at preparation and shared read-only (`Arc`) by every
 /// policy cell; per-predictor-configuration [`PreparedTrace`]s are built
-/// lazily and cached, so no run ever re-derives them (the seed harness
-/// rebuilt all of it on every `run_*` call).
+/// lazily and cached, so no run ever re-derives them.
 #[derive(Debug)]
 pub struct PreparedWorkload {
     /// Workload name (a bundled benchmark's paper x-axis label, or a
@@ -117,85 +112,6 @@ impl PreparedWorkload {
         cache.push((key, p.clone()));
         p
     }
-
-    /// Runs the superscalar baseline.
-    pub fn run_baseline(&self) -> SimResult {
-        self.run_baseline_with(&mut SimScratch::default())
-    }
-
-    /// [`run_baseline`](Self::run_baseline) with a reusable scratch arena.
-    pub fn run_baseline_with(&self, scratch: &mut SimScratch) -> SimResult {
-        let cfg = superscalar_config();
-        simulate_with(&self.prepared(&cfg), &cfg, &mut NoSpawn, scratch)
-    }
-
-    /// Fallible [`run_baseline_with`](Self::run_baseline_with): watchdog
-    /// trips and malformed traces come back as [`SimError`] instead of a
-    /// panic. Used by the sweep engine's fault-isolated cells.
-    pub fn try_run_baseline_with(&self, scratch: &mut SimScratch) -> Result<SimResult, SimError> {
-        let cfg = superscalar_config();
-        try_simulate_with(&self.prepared(&cfg), &cfg, &mut NoSpawn, scratch)
-    }
-
-    /// Runs one static policy on the PolyFlow machine.
-    pub fn run_static(&self, policy: Policy) -> SimResult {
-        self.run_static_with(policy, &mut SimScratch::default())
-    }
-
-    /// [`run_static`](Self::run_static) with a reusable scratch arena.
-    pub fn run_static_with(&self, policy: Policy, scratch: &mut SimScratch) -> SimResult {
-        let cfg = polyflow_config();
-        let mut src = StaticSpawnSource::new(self.analysis.spawn_table(policy));
-        simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
-
-    /// Fallible [`run_static_with`](Self::run_static_with).
-    pub fn try_run_static_with(
-        &self,
-        policy: Policy,
-        scratch: &mut SimScratch,
-    ) -> Result<SimResult, SimError> {
-        let cfg = polyflow_config();
-        let mut src = StaticSpawnSource::new(self.analysis.spawn_table(policy));
-        try_simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
-
-    /// Runs one static policy (or the superscalar baseline for
-    /// [`Policy::None`]), streaming structured events to `sink`. Event
-    /// emission never perturbs the simulation, so the result is
-    /// bit-identical to [`run_static`](Self::run_static) /
-    /// [`run_baseline`](Self::run_baseline).
-    pub fn run_traced(&self, policy: Policy, sink: &mut dyn TraceSink) -> SimResult {
-        let mut scratch = SimScratch::default();
-        if policy == Policy::None {
-            let cfg = superscalar_config();
-            simulate_traced(&self.prepared(&cfg), &cfg, &mut NoSpawn, &mut scratch, sink)
-        } else {
-            let cfg = polyflow_config();
-            let mut src = StaticSpawnSource::new(self.analysis.spawn_table(policy));
-            simulate_traced(&self.prepared(&cfg), &cfg, &mut src, &mut scratch, sink)
-        }
-    }
-
-    /// Runs the dynamic reconvergence-predictor policy (cold predictor,
-    /// trained online; §4.4).
-    pub fn run_reconv(&self) -> SimResult {
-        self.run_reconv_with(&mut SimScratch::default())
-    }
-
-    /// [`run_reconv`](Self::run_reconv) with a reusable scratch arena.
-    pub fn run_reconv_with(&self, scratch: &mut SimScratch) -> SimResult {
-        let cfg = polyflow_config();
-        let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-        simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
-
-    /// Fallible [`run_reconv_with`](Self::run_reconv_with).
-    pub fn try_run_reconv_with(&self, scratch: &mut SimScratch) -> Result<SimResult, SimError> {
-        let cfg = polyflow_config();
-        let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-        try_simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
 }
 
 /// The hard cycle budget every figure binary honors: `--max-cycles N`
@@ -204,6 +120,8 @@ impl PreparedWorkload {
 /// (`u64::MAX`). Read once per process; a run that exceeds the budget
 /// fails with [`SimError::CyclesExceeded`] and the sweep engine marks
 /// its cell `FAILED` instead of hanging the figure.
+///
+/// [`SimError::CyclesExceeded`]: polyflow_sim::SimError::CyclesExceeded
 pub fn resolve_max_cycles() -> u64 {
     static MAX: OnceLock<u64> = OnceLock::new();
     *MAX.get_or_init(|| {
@@ -224,37 +142,11 @@ pub fn resolve_max_cycles() -> u64 {
     })
 }
 
-/// The superscalar baseline configuration with the process-wide cycle
-/// budget ([`resolve_max_cycles`]) applied. The budget does not affect
-/// the predictor key, so prepared traces stay shared with the PolyFlow
-/// configuration.
-fn superscalar_config() -> MachineConfig {
-    let mut cfg = MachineConfig::superscalar();
-    cfg.max_cycles = resolve_max_cycles();
-    cfg
-}
-
 /// The PolyFlow machine configuration used by the figure binaries:
-/// Figure 8 defaults, with environment overrides for the dependence-model
-/// experiments (`POLYFLOW_REG_HINTS=1` enables the capacity-limited
-/// hint-entry register model; `POLYFLOW_STORE_SETS=1` enables store-set
-/// memory-dependence prediction; both default to oracle synchronization).
-/// The environment is read once per process.
+/// [`Cell::figure_config`](sweep::Cell::figure_config) of a spawning
+/// cell.
 pub fn polyflow_config() -> MachineConfig {
-    static CONFIG: OnceLock<MachineConfig> = OnceLock::new();
-    CONFIG
-        .get_or_init(|| {
-            let mut cfg = MachineConfig::hpca07();
-            if std::env::var("POLYFLOW_REG_HINTS").is_ok_and(|v| v == "1") {
-                cfg.register_dependence = DependenceMode::StoreSet;
-            }
-            if std::env::var("POLYFLOW_STORE_SETS").is_ok_and(|v| v == "1") {
-                cfg.memory_dependence = DependenceMode::StoreSet;
-            }
-            cfg.max_cycles = resolve_max_cycles();
-            cfg
-        })
-        .clone()
+    sweep::Cell::Static(Policy::Postdoms).figure_config()
 }
 
 /// Prepares every workload (or a named subset), fanning the interpret +
@@ -302,23 +194,8 @@ pub fn prepare_selection(args: &cli::Args) -> Vec<PreparedWorkload> {
     prepared
 }
 
-/// Parses a policy by its display name ([`Policy::name`]), as used on the
-/// `explain` command line. `"superscalar"` / `"baseline"` / `"none"` name
-/// the no-spawn baseline.
-pub fn parse_policy(s: &str) -> Option<Policy> {
-    match s {
-        "superscalar" | "baseline" | "none" => Some(Policy::None),
-        "loop" => Some(Policy::Loop),
-        "loopFT" => Some(Policy::LoopFt),
-        "procFT" => Some(Policy::ProcFt),
-        "hammock" => Some(Policy::Hammock),
-        "other" => Some(Policy::Other),
-        "postdoms" => Some(Policy::Postdoms),
-        _ => None,
-    }
-}
-
-/// The policy names [`parse_policy`] accepts (for usage messages).
+/// The policy names [`Cell::parse`](sweep::Cell::parse) accepts besides
+/// `rec_pred` (for usage messages).
 pub const POLICY_NAMES: &[&str] = &[
     "superscalar",
     "loop",
@@ -433,10 +310,15 @@ mod tests {
 
     #[test]
     fn baseline_and_policy_share_work() {
+        use sweep::{run_cell_with_config, Cell};
         let w = polyflow_workloads::by_name("gzip").unwrap();
         let pw = PreparedWorkload::prepare(w);
-        let base = pw.run_baseline();
-        let pd = pw.run_static(Policy::Postdoms);
+        let mut scratch = polyflow_sim::SimScratch::default();
+        let mut run = |cell: Cell| {
+            run_cell_with_config(&pw, cell, &cell.figure_config(), &mut scratch).unwrap()
+        };
+        let base = run(Cell::Baseline);
+        let pd = run(Cell::Static(Policy::Postdoms));
         assert_eq!(base.instructions, pd.instructions);
     }
 }

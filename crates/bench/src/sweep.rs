@@ -1,13 +1,28 @@
-//! The parallel (workload × policy) sweep engine.
+//! The parallel (workload × policy) sweep engine, and the one place a
+//! grid cell becomes a simulator run.
 //!
-//! Every figure binary is a grid of independent simulator runs. This
-//! module executes such grids on the work-stealing pool ([`crate::pool`])
-//! with per-worker [`SimScratch`] reuse, collects results into
-//! deterministic `[workload][cell]` order (byte-identical output at any
+//! # Cells
+//!
+//! Every number in Figures 9–12 is one [`Cell`]: the superscalar
+//! baseline, a static spawn policy on the PolyFlow machine, or the §4.4
+//! reconvergence predictor. [`Cell::parse`] reads a cell from its
+//! [`label`](Cell::label), [`Cell::base_config`] picks its machine, and
+//! [`run_cell`] builds its spawn source and calls the simulator. The
+//! figure binaries run cells under [`Cell::figure_config`] (the base
+//! machine plus the process-wide overrides); `polyflow-serve` runs them
+//! under the base machine plus a request's overrides. Both reach the
+//! simulator through [`run_cell`], so served ≡ offline reduces to the
+//! simulator's own determinism.
+//!
+//! # Grids
+//!
+//! [`run_batch_with`] executes a list of `(workload, cell)` pairs on the
+//! work-stealing pool ([`crate::pool`]) with per-worker [`SimScratch`]
+//! reuse, collects results in input order (byte-identical output at any
 //! `--jobs`), and reports per-cell wall-clock: a cells/sec throughput
 //! line on stderr plus a `BENCH_sweep.json` perf-trajectory file
 //! (override the path with `POLYFLOW_BENCH_JSON`; set it empty or to `0`
-//! to disable).
+//! to disable). [`run_grid_with`] and [`sweep`] feed it a cross product.
 //!
 //! # Fault isolation
 //!
@@ -20,15 +35,18 @@
 //! count. Setting `POLYFLOW_FAULT_CELL=<workload>/<label>` makes exactly
 //! that cell panic deliberately (the CI degradation check).
 
-use crate::{pool, PreparedWorkload};
+use crate::{pool, resolve_max_cycles, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_reconv::ReconvConfig;
 use polyflow_sim::{
-    try_simulate_opts, MachineConfig, NoSpawn, NullSink, ReconvSpawnSource, SimError, SimOptions,
-    SimResult, SimScratch, SimTelemetry, StaticSpawnSource,
+    try_simulate_opts, DependenceMode, MachineConfig, NoSpawn, NullSink, ReconvSpawnSource,
+    SimError, SimOptions, SimResult, SimScratch, SimTelemetry, SpawnSource, StaticSpawnSource,
+    TraceSink,
 };
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// One cell of a figure's (workload × policy) grid.
@@ -43,7 +61,8 @@ pub enum Cell {
 }
 
 impl Cell {
-    /// Short label used in the timing report.
+    /// Short label: the timing report's column, the protocol's `policy`
+    /// echo, and a cache-key component.
     pub fn label(&self) -> String {
         match self {
             Cell::Baseline => "baseline".to_string(),
@@ -51,6 +70,106 @@ impl Cell {
             Cell::Reconv => "rec_pred".to_string(),
         }
     }
+
+    /// Reads a cell from its [`label`](Self::label): `baseline` (or the
+    /// aliases `superscalar` and `none`), a Figure 9 policy name, or
+    /// `rec_pred`. The Figure 10/11 combinations are not addressable by
+    /// name; anything else is `None`.
+    pub fn parse(name: &str) -> Option<Cell> {
+        match name {
+            "baseline" | "superscalar" | "none" => Some(Cell::Baseline),
+            "rec_pred" => Some(Cell::Reconv),
+            _ => Policy::figure9()
+                .into_iter()
+                .find(|p| p.name() == name)
+                .map(Cell::Static),
+        }
+    }
+
+    /// The machine the cell runs on before any override: the
+    /// equivalent-resource superscalar for the baseline, the Figure 8
+    /// PolyFlow machine for every spawning cell.
+    pub fn base_config(self) -> MachineConfig {
+        match self {
+            Cell::Baseline => MachineConfig::superscalar(),
+            Cell::Static(_) | Cell::Reconv => MachineConfig::hpca07(),
+        }
+    }
+
+    /// The configuration the figure binaries run the cell under: the
+    /// [`base_config`](Self::base_config) with the process-wide cycle
+    /// budget ([`resolve_max_cycles`]) and, on the PolyFlow machine, the
+    /// dependence-model environment overrides (`POLYFLOW_REG_HINTS=1`
+    /// enables the capacity-limited hint-entry register model;
+    /// `POLYFLOW_STORE_SETS=1` enables store-set memory-dependence
+    /// prediction; both default to oracle synchronization). Neither the
+    /// budget nor the overrides touch the predictor key, so every cell of
+    /// a workload shares one prepared trace. The environment is read once
+    /// per process.
+    pub fn figure_config(self) -> MachineConfig {
+        static PREDICTED: OnceLock<(bool, bool)> = OnceLock::new();
+        let mut cfg = self.base_config();
+        cfg.max_cycles = resolve_max_cycles();
+        if self != Cell::Baseline {
+            let set = |var| std::env::var(var).is_ok_and(|v| v == "1");
+            let (registers, memory) =
+                *PREDICTED.get_or_init(|| (set("POLYFLOW_REG_HINTS"), set("POLYFLOW_STORE_SETS")));
+            if registers {
+                cfg.register_dependence = DependenceMode::StoreSet;
+            }
+            if memory {
+                cfg.memory_dependence = DependenceMode::StoreSet;
+            }
+        }
+        cfg
+    }
+}
+
+/// Runs `cell` on `w` under `cfg`: builds the cell's spawn source and
+/// calls the simulator. This is the only place a [`Cell`] becomes a
+/// simulation. The prepared trace is shared through
+/// [`PreparedWorkload::prepared`], keyed by the config's predictor key;
+/// events stream to `sink`, and `opts` never change the result.
+pub fn run_cell(
+    w: &PreparedWorkload,
+    cell: Cell,
+    cfg: &MachineConfig,
+    scratch: &mut SimScratch,
+    sink: &mut dyn TraceSink,
+    opts: SimOptions,
+) -> Result<(SimResult, SimTelemetry), SimError> {
+    let prepared = w.prepared(cfg);
+    scratch.reserve(w.trace().len());
+    let mut source: Box<dyn SpawnSource> = match cell {
+        Cell::Baseline => Box::new(NoSpawn),
+        Cell::Static(p) => Box::new(StaticSpawnSource::new(w.analysis.spawn_table(p))),
+        Cell::Reconv => Box::new(ReconvSpawnSource::new(ReconvConfig::default())),
+    };
+    try_simulate_opts(&prepared, cfg, source.as_mut(), scratch, sink, opts)
+}
+
+/// [`run_cell`] without events or telemetry: the path behind every
+/// `polyflow-serve` request, on the server's batcher and in the offline
+/// verifier alike.
+pub fn run_cell_with_config(
+    w: &PreparedWorkload,
+    cell: Cell,
+    cfg: &MachineConfig,
+    scratch: &mut SimScratch,
+) -> Result<SimResult, SimError> {
+    run_cell(w, cell, cfg, scratch, &mut NullSink, SimOptions::default()).map(|(r, _)| r)
+}
+
+/// [`run_cell`] without events: the `simbench` measurement path, where
+/// the telemetry's skip split is part of the report.
+pub fn run_cell_with_config_opts(
+    w: &PreparedWorkload,
+    cell: Cell,
+    cfg: &MachineConfig,
+    scratch: &mut SimScratch,
+    opts: SimOptions,
+) -> Result<(SimResult, SimTelemetry), SimError> {
+    run_cell(w, cell, cfg, scratch, &mut NullSink, opts)
 }
 
 /// What one grid cell produced: a simulation result, or a structured
@@ -234,7 +353,7 @@ const MAX_ATTEMPTS: u32 = 2;
 /// Runs one cell under panic isolation. Typed errors are deterministic
 /// properties of the (workload, cell) pair, so they fail immediately;
 /// panics get one retry.
-fn run_cell<C, F>(w: &PreparedWorkload, c: &C, cell_label: &str, run: &F) -> CellOutcome
+fn run_isolated<C, F>(w: &PreparedWorkload, c: &C, cell_label: &str, run: &F) -> CellOutcome
 where
     F: Fn(&PreparedWorkload, &C, &mut SimScratch) -> Result<SimResult, SimError> + Sync,
 {
@@ -273,9 +392,58 @@ where
     }
 }
 
-/// Runs an arbitrary `(workload × cell)` grid on the pool and returns
-/// per-cell outcomes grouped as `[workload][cell]`, plus the timing
-/// report.
+/// Runs a batch — an explicit list of `(workload, cell)` pairs — as one
+/// pool dispatch: outcomes come back in input order, each pair ran
+/// exactly once under panic isolation, and a panicking or erroring pair
+/// degrades to [`CellOutcome::Failed`] without touching its neighbours.
+///
+/// This is the execution primitive of every sweep ([`run_grid_with`]
+/// feeds it a cross product) and of the `polyflow-serve` micro-batcher,
+/// whose coalesced batches are rarely rectangles (each client asks for
+/// its own workload × policy × config cell). `W` is anything that
+/// borrows a [`PreparedWorkload`] (`Arc` in the server, plain references
+/// in grids).
+pub fn run_batch_with<W, C, F, L>(
+    name: &str,
+    items: &[(W, C)],
+    jobs: usize,
+    run: F,
+    label: L,
+) -> (Vec<CellOutcome>, SweepReport)
+where
+    W: Borrow<PreparedWorkload> + Sync,
+    C: Sync,
+    F: Fn(&PreparedWorkload, &C, &mut SimScratch) -> Result<SimResult, SimError> + Sync,
+    L: Fn(&C) -> String,
+{
+    let labels: Vec<String> = items.iter().map(|(_, c)| label(c)).collect();
+    let started = Instant::now();
+    let indices: Vec<usize> = (0..items.len()).collect();
+    let timed = pool::parallel_map(indices, jobs, |_, i| {
+        let (w, c) = &items[i];
+        let t0 = Instant::now();
+        let r = run_isolated(w.borrow(), c, &labels[i], &run);
+        (r, t0.elapsed())
+    });
+    let wall = started.elapsed();
+    let mut outcomes = Vec::with_capacity(timed.len());
+    let mut cell_times = Vec::with_capacity(timed.len());
+    for (i, (r, d)) in timed.into_iter().enumerate() {
+        cell_times.push((format!("{}/{}", items[i].0.borrow().name, labels[i]), d));
+        outcomes.push(r);
+    }
+    let report = SweepReport {
+        name: name.to_string(),
+        jobs,
+        wall,
+        cells: cell_times,
+    };
+    (outcomes, report)
+}
+
+/// Runs an arbitrary `(workload × cell)` grid: the cross product goes
+/// to [`run_batch_with`] as one pool dispatch, and the outcomes come back
+/// grouped as `[workload][cell]`, plus the timing report.
 ///
 /// `run` executes one cell; it receives the worker's reusable
 /// [`SimScratch`]. `label` names a cell for the report. Cells are
@@ -296,135 +464,23 @@ where
     F: Fn(&PreparedWorkload, &C, &mut SimScratch) -> Result<SimResult, SimError> + Sync,
     L: Fn(&C) -> String,
 {
-    let labels: Vec<String> = cells.iter().map(&label).collect();
-    let grid: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|wi| (0..cells.len()).map(move |ci| (wi, ci)))
+    let items: Vec<(&PreparedWorkload, &C)> = workloads
+        .iter()
+        .flat_map(|w| cells.iter().map(move |c| (w, c)))
         .collect();
-    let started = Instant::now();
-    let timed = pool::parallel_map(grid, jobs, |_, (wi, ci)| {
-        let t0 = Instant::now();
-        let r = run_cell(&workloads[wi], &cells[ci], &labels[ci], &run);
-        (r, t0.elapsed())
-    });
-    let wall = started.elapsed();
-    let mut cell_times = Vec::with_capacity(timed.len());
-    let mut results: Vec<Vec<CellOutcome>> = Vec::with_capacity(workloads.len());
-    let mut it = timed.into_iter();
-    for w in workloads {
-        let mut row = Vec::with_capacity(cells.len());
-        for l in &labels {
-            let (r, d) = it.next().expect("one result per grid cell");
-            cell_times.push((format!("{}/{}", w.name, l), d));
-            row.push(r);
-        }
-        results.push(row);
-    }
-    let report = SweepReport {
-        name: name.to_string(),
-        jobs,
-        wall,
-        cells: cell_times,
-    };
-    (results, report)
+    let (outcomes, report) =
+        run_batch_with(name, &items, jobs, |w, c, s| run(w, c, s), |c| label(c));
+    let mut outcomes = outcomes.into_iter();
+    let grid = workloads
+        .iter()
+        .map(|_| outcomes.by_ref().take(cells.len()).collect())
+        .collect();
+    (grid, report)
 }
 
-/// Runs a *ragged* batch — an explicit list of `(workload, cell)` pairs
-/// rather than a full cross product — on the pool, with the same fault
-/// isolation and determinism guarantees as [`run_grid_with`]: outcomes
-/// come back in input order, each pair ran exactly once, and a panicking
-/// or erroring pair degrades to [`CellOutcome::Failed`] without touching
-/// its neighbours.
-///
-/// This is the execution primitive of the `polyflow-serve` micro-batcher:
-/// a coalesced request batch is rarely a rectangle (each client asks for
-/// its own workload × policy × config cell), but every pair is still an
-/// independent simulator run, so the batch executes as one pool dispatch.
-/// `W` is anything that borrows a [`PreparedWorkload`] (`Arc` in the
-/// server, plain references in tests).
-pub fn run_batch_with<W, C, F, L>(
-    name: &str,
-    items: &[(W, C)],
-    jobs: usize,
-    run: F,
-    label: L,
-) -> (Vec<CellOutcome>, SweepReport)
-where
-    W: AsRef<PreparedWorkload> + Sync,
-    C: Sync,
-    F: Fn(&PreparedWorkload, &C, &mut SimScratch) -> Result<SimResult, SimError> + Sync,
-    L: Fn(&C) -> String,
-{
-    let labels: Vec<String> = items.iter().map(|(_, c)| label(c)).collect();
-    let started = Instant::now();
-    let indices: Vec<usize> = (0..items.len()).collect();
-    let timed = pool::parallel_map(indices, jobs, |_, i| {
-        let (w, c) = &items[i];
-        let t0 = Instant::now();
-        let r = run_cell(w.as_ref(), c, &labels[i], &run);
-        (r, t0.elapsed())
-    });
-    let wall = started.elapsed();
-    let mut outcomes = Vec::with_capacity(timed.len());
-    let mut cell_times = Vec::with_capacity(timed.len());
-    for (i, (r, d)) in timed.into_iter().enumerate() {
-        cell_times.push((format!("{}/{}", items[i].0.as_ref().name, labels[i]), d));
-        outcomes.push(r);
-    }
-    let report = SweepReport {
-        name: name.to_string(),
-        jobs,
-        wall,
-        cells: cell_times,
-    };
-    (outcomes, report)
-}
-
-/// Runs one cell under an **explicit** machine configuration, unlike the
-/// `try_run_*` methods which use the process-wide figure configs. This is
-/// the single execution path behind every `polyflow-serve` request — the
-/// server's batcher and the offline verifier both call it, so "served
-/// result ≡ offline result" reduces to the simulator's own determinism.
-/// Prepared traces are still shared through
-/// [`PreparedWorkload::prepared`], keyed by the config's predictor key.
-pub fn run_cell_with_config(
-    w: &PreparedWorkload,
-    cell: Cell,
-    cfg: &MachineConfig,
-    scratch: &mut SimScratch,
-) -> Result<SimResult, SimError> {
-    run_cell_with_config_opts(w, cell, cfg, scratch, SimOptions::default()).map(|(r, _)| r)
-}
-
-/// [`run_cell_with_config`] with explicit [`SimOptions`], additionally
-/// returning the run's [`SimTelemetry`] (stepped vs fast-forwarded
-/// cycles). The options never change the result — this is the `simbench`
-/// measurement path, where the skip split is part of the report.
-pub fn run_cell_with_config_opts(
-    w: &PreparedWorkload,
-    cell: Cell,
-    cfg: &MachineConfig,
-    scratch: &mut SimScratch,
-    opts: SimOptions,
-) -> Result<(SimResult, SimTelemetry), SimError> {
-    let prepared = w.prepared(cfg);
-    scratch.reserve(w.trace().len());
-    match cell {
-        Cell::Baseline => {
-            try_simulate_opts(&prepared, cfg, &mut NoSpawn, scratch, &mut NullSink, opts)
-        }
-        Cell::Static(p) => {
-            let mut src = StaticSpawnSource::new(w.analysis.spawn_table(p));
-            try_simulate_opts(&prepared, cfg, &mut src, scratch, &mut NullSink, opts)
-        }
-        Cell::Reconv => {
-            let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-            try_simulate_opts(&prepared, cfg, &mut src, scratch, &mut NullSink, opts)
-        }
-    }
-}
-
-/// Runs the standard figure grid (`cells` per workload) with the
-/// process-wide worker count ([`pool::resolve_jobs`]).
+/// Runs the standard figure grid (`cells` per workload, each under its
+/// [`Cell::figure_config`]) with the process-wide worker count
+/// ([`pool::resolve_jobs`]).
 pub fn sweep(
     name: &str,
     workloads: &[PreparedWorkload],
@@ -440,20 +496,16 @@ pub fn sweep_with_jobs(
     cells: &[Cell],
     jobs: usize,
 ) -> (Vec<Vec<CellOutcome>>, SweepReport) {
+    let cells: Vec<(Cell, MachineConfig)> = cells.iter().map(|&c| (c, c.figure_config())).collect();
     run_grid_with(
         name,
         workloads,
-        cells,
+        &cells,
         jobs,
-        |w, cell, scratch| match cell {
-            Cell::Baseline => w.try_run_baseline_with(scratch),
-            Cell::Static(p) => w.try_run_static_with(*p, scratch),
-            Cell::Reconv => w.try_run_reconv_with(scratch),
-        },
-        Cell::label,
+        |w, (cell, cfg), scratch| run_cell_with_config(w, *cell, cfg, scratch),
+        |(cell, _)| cell.label(),
     )
 }
-
 /// The Figure 9 grid: baseline plus every individual-heuristic policy.
 /// Shared by the figure binary and the determinism test.
 pub fn figure9_cells() -> Vec<Cell> {
@@ -485,6 +537,41 @@ mod tests {
         assert!(json.contains("{\"cell\": \"a/loop\", \"seconds\": 0.800000}"));
         assert!(!json.contains(",\n  ]"), "no trailing comma in array");
         assert!(!json.contains(",\n}"), "no trailing comma in object");
+    }
+
+    #[test]
+    fn cells_parse_back_from_their_labels() {
+        for c in figure9_cells().into_iter().chain([Cell::Reconv]) {
+            assert_eq!(Cell::parse(&c.label()), Some(c), "{}", c.label());
+        }
+        for alias in ["superscalar", "none"] {
+            assert_eq!(Cell::parse(alias), Some(Cell::Baseline));
+        }
+        for unknown in [
+            "",
+            "Postdoms",
+            "postdoms ",
+            "loop + loopFT",
+            "reconv",
+            "rec-pred",
+        ] {
+            assert_eq!(Cell::parse(unknown), None, "{unknown:?}");
+        }
+    }
+
+    #[test]
+    fn only_the_baseline_runs_on_the_superscalar() {
+        for c in figure9_cells().into_iter().chain([Cell::Reconv]) {
+            let expected = if c == Cell::Baseline {
+                MachineConfig::superscalar()
+            } else {
+                MachineConfig::hpca07()
+            };
+            assert_eq!(c.base_config(), expected, "{}", c.label());
+            let figure = c.figure_config();
+            assert_eq!(figure.max_cycles, resolve_max_cycles());
+            assert_eq!(figure.predictor_key(), expected.predictor_key());
+        }
     }
 
     #[test]

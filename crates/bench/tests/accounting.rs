@@ -4,6 +4,7 @@
 //! PolyFlow configuration, and the stall counters must equal their
 //! account buckets exactly.
 
+use polyflow_bench::sweep::{run_cell_with_config, Cell};
 use polyflow_bench::{prepare_all_jobs, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_sim::{Bucket, MachineConfig, SimResult, SimScratch};
@@ -51,7 +52,13 @@ fn invariant_holds_for_all_workloads_baseline_and_postdoms() {
     );
     let mut scratch = SimScratch::default();
     for w in &workloads {
-        let base = w.run_baseline_with(&mut scratch);
+        let base = run_cell_with_config(
+            w,
+            Cell::Baseline,
+            &Cell::Baseline.figure_config(),
+            &mut scratch,
+        )
+        .unwrap();
         assert_balanced(
             w,
             "baseline",
@@ -60,7 +67,9 @@ fn invariant_holds_for_all_workloads_baseline_and_postdoms() {
         );
         assert_eq!(base.account.bucket(Bucket::IdleContext), 0);
 
-        let pd = w.run_static_with(Policy::Postdoms, &mut scratch);
+        let postdoms = Cell::Static(Policy::Postdoms);
+        let pd =
+            run_cell_with_config(w, postdoms, &postdoms.figure_config(), &mut scratch).unwrap();
         assert_balanced(w, "postdoms", &pd, MachineConfig::hpca07().contexts());
         assert_eq!(base.instructions, pd.instructions);
 
@@ -82,7 +91,6 @@ fn predicted_dependence_config_is_stable_on_all_workloads() {
     // later batch then swap-removed through a stale slot (out-of-bounds
     // on crafty/loop). Every workload must complete with a balanced
     // ledger under both policies of that figure's hot path.
-    use polyflow_bench::sweep::{run_cell_with_config, Cell};
     use polyflow_sim::DependenceMode;
     let mut cfg = MachineConfig::hpca07();
     cfg.register_dependence = DependenceMode::StoreSet;

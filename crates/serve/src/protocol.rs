@@ -45,15 +45,15 @@
 //!
 //! The `result` member is byte-for-byte [`SimResult::to_json`] run
 //! through [`json::compact`] — exactly what an offline
-//! `try_simulate_with` of the same cell renders, which is what the
+//! [`run_cell_with_config`] of the same cell renders, which is what the
 //! served-vs-offline determinism check diffs.
+//!
+//! [`run_cell_with_config`]: polyflow_bench::sweep::run_cell_with_config
 //!
 //! [`SimResult::to_json`]: polyflow_sim::SimResult::to_json
 
 use crate::json::{self, Json};
-use polyflow_bench::parse_policy;
 use polyflow_bench::sweep::Cell;
-use polyflow_core::Policy;
 use polyflow_sim::{DependenceMode, MachineConfig};
 use std::fmt;
 
@@ -353,13 +353,20 @@ fn parse_simulate(v: &Json, default_max_cycles: u64) -> Result<Request, ServeErr
         None => "postdoms",
         Some(p) => p.as_str().ok_or_else(|| bad("`policy` must be a string"))?,
     };
-    let cell = parse_cell(policy_name)?;
+    let cell = Cell::parse(policy_name).ok_or_else(|| {
+        ServeError::new(
+            ErrorKind::UnknownPolicy,
+            format!(
+                "unknown policy `{policy_name}` (one of: {}, rec_pred)",
+                polyflow_bench::POLICY_NAMES.join(", ")
+            ),
+        )
+    })?;
 
-    let mut config = match cell {
-        Cell::Baseline => MachineConfig::superscalar(),
-        _ => MachineConfig::hpca07(),
+    let mut config = MachineConfig {
+        max_cycles: default_max_cycles,
+        ..cell.base_config()
     };
-    config.max_cycles = default_max_cycles;
     if let Some(overrides) = v.get("config") {
         apply_overrides(&mut config, overrides)?;
     }
@@ -441,26 +448,6 @@ fn parse_verify(v: &Json) -> Result<Request, ServeError> {
     Ok(Request::Verify(Box::new(
         crate::verify::VerifyRequest::new(program),
     )))
-}
-
-/// Maps a protocol policy name to a grid cell. `rec_pred` (Figure 12's
-/// dynamic predictor) is a serve extension over
-/// [`polyflow_bench::parse_policy`].
-pub fn parse_cell(name: &str) -> Result<Cell, ServeError> {
-    if name == "rec_pred" {
-        return Ok(Cell::Reconv);
-    }
-    match parse_policy(name) {
-        Some(Policy::None) => Ok(Cell::Baseline),
-        Some(p) => Ok(Cell::Static(p)),
-        None => Err(ServeError::new(
-            ErrorKind::UnknownPolicy,
-            format!(
-                "unknown policy `{name}` (one of: {}, rec_pred)",
-                polyflow_bench::POLICY_NAMES.join(", ")
-            ),
-        )),
-    }
 }
 
 fn apply_overrides(config: &mut MachineConfig, overrides: &Json) -> Result<(), ServeError> {
@@ -626,6 +613,26 @@ mod tests {
             panic!("not a simulate")
         };
         assert!(matches!(r.cell, Cell::Reconv));
+    }
+
+    #[test]
+    fn every_policy_name_runs_on_its_cells_base_machine() {
+        let names = polyflow_bench::POLICY_NAMES
+            .iter()
+            .chain(&["baseline", "none", "rec_pred"]);
+        for name in names {
+            let line = format!("{{\"workload\":\"gzip\",\"policy\":\"{name}\"}}");
+            let Request::Simulate(r) = parse_request(&line, 4242).unwrap() else {
+                panic!("not a simulate")
+            };
+            let cell = Cell::parse(name).unwrap();
+            assert_eq!(r.cell, cell, "{name}");
+            let expected = MachineConfig {
+                max_cycles: 4242,
+                ..cell.base_config()
+            };
+            assert_eq!(r.config, expected, "{name}");
+        }
     }
 
     #[test]

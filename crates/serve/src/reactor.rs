@@ -26,7 +26,7 @@
 //!
 //! # The handler
 //!
-//! What a request *means* is a [`Handler`]'s business; everything about
+//! What a request *means* is a `Handler`'s business; everything about
 //! moving bytes is the reactor's. Serve's handler
 //! ([`crate::server`]) hands simulations to the `Service`; the
 //! router's ([`crate::router`]) forwards them to a backend over pooled
@@ -35,12 +35,12 @@
 //!
 //! # The per-connection state machine
 //!
-//! Each [`Conn`] moves bytes through four stages. **Read**: nonblocking
+//! Each `Conn` moves bytes through four stages. **Read**: nonblocking
 //! reads accumulate into a line buffer, bounded by the configured
 //! `max_request_line` with the same typed-reject-then-discard behavior
 //! the threaded transport had (an oversized line costs one
 //! `bad_request`, never the connection). **Execute**: complete lines
-//! that are valid UTF-8 and not blank go to [`Handler::execute`].
+//! that are valid UTF-8 and not blank go to `Handler::execute`.
 //! **Pending**: at most one in-flight request per connection —
 //! pipelined lines wait in the connection's inbox so replies stay in
 //! request order, exactly like the threaded handler. **Write**: a queue
@@ -60,8 +60,8 @@
 //!
 //! # Bounds
 //!
-//! A connection may hold at most [`PIPELINE_MAX`] parsed-but-unexecuted
-//! lines and [`OUT_HIGH_WATER`] bytes of unflushed output; beyond
+//! A connection may hold at most `PIPELINE_MAX` parsed-but-unexecuted
+//! lines and `OUT_HIGH_WATER` bytes of unflushed output; beyond
 //! either, the reactor stops reading from (or executing for) that
 //! connection, which backpressures through TCP. A peer that stops
 //! reading forfeits the connection after the configured `write_timeout`

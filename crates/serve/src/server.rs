@@ -1,5 +1,6 @@
 //! The TCP front end: a thin wrapper that binds, starts the service,
-//! and hands the socket to the readiness-based [`Reactor`].
+//! and hands the socket to the readiness-based reactor
+//! ([`crate::reactor`]).
 //!
 //! Each connection speaks the newline-delimited protocol of
 //! [`crate::protocol`]. All connections are driven by one reactor
@@ -28,9 +29,6 @@ use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// How often [`Server::wait_for_shutdown`] re-checks the drain flag.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 
 /// A running server: the service plus its TCP front end.
 pub struct Server {
@@ -120,11 +118,12 @@ impl Server {
         self.service.shutdown_and_join();
     }
 
-    /// Blocks until a drain is requested, polling the signal flag. The
-    /// `serve` binary parks its main thread here.
+    /// Blocks until a drain is requested (SIGTERM/SIGINT or the
+    /// `shutdown` verb) and the reactor has finished it, then drains the
+    /// service. The `serve` binary parks its main thread here.
     pub fn wait_for_shutdown(&mut self) {
-        while !self.draining() {
-            thread::sleep(SHUTDOWN_POLL);
+        if let Some(h) = self.reactor_handle.take() {
+            let _ = h.join();
         }
         self.shutdown();
     }

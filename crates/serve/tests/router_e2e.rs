@@ -9,7 +9,7 @@
 
 use polyflow_serve::json;
 use polyflow_serve::protocol::{ok_response, parse_request, with_integrity_trailer, Request};
-use polyflow_serve::router::{Router, RouterConfig};
+use polyflow_serve::router::{routing_key, Ring, Router, RouterConfig};
 use polyflow_serve::{Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -70,8 +70,8 @@ fn sim_line(workload: &str, policy: &str, budget: u64) -> String {
     )
 }
 
-/// A key set wide enough that every shard owns some of it: distinct
-/// `max_cycles` values are distinct cache keys with identical results.
+/// The base key set: distinct `max_cycles` values are distinct cache
+/// keys with identical results.
 fn test_lines() -> Vec<String> {
     let mut lines = vec![
         sim_line("bzip2", "baseline", BUDGET),
@@ -81,6 +81,36 @@ fn test_lines() -> Vec<String> {
     ];
     for i in 1..=4u64 {
         lines.push(sim_line("gzip", "postdoms", BUDGET + i));
+    }
+    lines
+}
+
+/// [`test_lines`] plus, for each shard of a router over `backends` that
+/// owns none of them, a `gzip`/`postdoms` budget variant the ring maps
+/// to that shard — so every shard takes traffic whatever ports the
+/// backends were given.
+fn lines_covering_every_shard(backends: &[String]) -> Vec<String> {
+    let ring = Ring::new(backends, router_config(backends.to_vec()).replicas);
+    let alive = vec![true; backends.len()];
+    let shard = |line: &str| {
+        let req = parse_request(line, BUDGET).expect("test line parses");
+        let key = routing_key(&req).expect("simulate lines have a key");
+        ring.shard_of(&key, &alive).expect("a live shard")
+    };
+    let mut lines = test_lines();
+    let mut owned = vec![false; backends.len()];
+    for line in &lines {
+        owned[shard(line)] = true;
+    }
+    let mut extra = 5u64;
+    while owned.contains(&false) {
+        let line = sim_line("gzip", "postdoms", BUDGET + extra);
+        let s = shard(&line);
+        if !owned[s] {
+            owned[s] = true;
+            lines.push(line);
+        }
+        extra += 1;
     }
     lines
 }
@@ -113,14 +143,13 @@ fn offline_expected(line: &str) -> String {
 /// produce the same bytes as an offline run in this process.
 #[test]
 fn routed_replies_are_byte_identical_across_shard_counts() {
-    let lines = test_lines();
-    let expected: Vec<String> = lines.iter().map(|l| offline_expected(l)).collect();
-
     let lone = Server::spawn("127.0.0.1:0", backend_config()).expect("bind");
     let lone_addr = lone.addr().to_string();
 
     for shard_count in [2usize, 3] {
         let backends = spawn_backends(shard_count);
+        let lines = lines_covering_every_shard(&addrs(&backends));
+        let expected: Vec<String> = lines.iter().map(|l| offline_expected(l)).collect();
         let mut router =
             Router::spawn("127.0.0.1:0", router_config(addrs(&backends))).expect("router");
         let router_addr = router.addr().to_string();
@@ -131,8 +160,8 @@ fn routed_replies_are_byte_identical_across_shard_counts() {
             assert_eq!(exchange_at(&router_addr, line), via_router, "cached bytes");
             assert_eq!(&exchange_at(&lone_addr, line), want, "lone server");
         }
-        // Every shard took some of the traffic (the key set is wider
-        // than any plausible all-on-one-shard split at 100 replicas).
+        // Every shard took some of the traffic (the lines were chosen
+        // so that each shard owns at least one of them).
         let stats = json::parse(&exchange_at(&router_addr, "stats")).expect("stats parse");
         let router_obj = stats.get("router").expect("router stats object");
         let backends_arr = router_obj

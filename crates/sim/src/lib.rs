@@ -20,8 +20,8 @@
 //! # Example
 //!
 //! ```
-//! use polyflow_sim::{run_policy, MachineConfig};
-//! use polyflow_core::Policy;
+//! use polyflow_sim::{simulate, MachineConfig, NoSpawn, PreparedTrace, StaticSpawnSource};
+//! use polyflow_core::{Policy, ProgramAnalysis};
 //! use polyflow_isa::{ProgramBuilder, Reg, Cond, AluOp, execute_window};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,8 +37,13 @@
 //! let program = b.build()?;
 //! let trace = execute_window(&program, 100_000)?.trace;
 //!
-//! let baseline = run_policy(&program, &trace, Policy::None);
-//! let postdoms = run_policy(&program, &trace, Policy::Postdoms);
+//! let ss = MachineConfig::superscalar();
+//! let baseline = simulate(&PreparedTrace::new(&trace, &ss), &ss, &mut NoSpawn);
+//!
+//! let pf = MachineConfig::hpca07();
+//! let table = ProgramAnalysis::analyze(&program).spawn_table(Policy::Postdoms);
+//! let mut source = StaticSpawnSource::new(table);
+//! let postdoms = simulate(&PreparedTrace::new(&trace, &pf), &pf, &mut source);
 //! assert_eq!(baseline.instructions, postdoms.instructions);
 //! # Ok(())
 //! # }
@@ -71,99 +76,10 @@ pub use config::{CacheConfig, MachineConfig};
 pub use error::SimError;
 pub use events::{JsonlSink, NullSink, RingSink, SimEvent, TraceSink};
 pub use machine::{
-    simulate, simulate_traced, simulate_with, try_simulate, try_simulate_opts, try_simulate_traced,
-    try_simulate_with, PreparedTrace, SimOptions, SimScratch, SimTelemetry,
+    simulate, try_simulate, try_simulate_opts, PreparedTrace, SimOptions, SimScratch, SimTelemetry,
 };
 pub use metrics::{SimResult, SpawnCounts, SpawnEvent};
 pub use spawn_source::{
     HintCacheSource, NoSpawn, ReconvSpawnSource, SpawnSource, StaticSpawnSource,
 };
 pub use store_set::{DependenceMode, StoreSetPredictor};
-
-use polyflow_core::{Policy, ProgramAnalysis};
-use polyflow_isa::{Program, Trace};
-use polyflow_reconv::ReconvConfig;
-
-/// Simulates `trace` under a static task-selection `policy`, using the
-/// Figure 8 machine (superscalar geometry when the policy is
-/// [`Policy::None`]).
-///
-/// Convenience wrapper: analyzes the program, builds the spawn table, and
-/// runs the cycle model. For sweeps over many policies, precompute the
-/// analysis and [`PreparedTrace`] yourself and call [`simulate`].
-pub fn run_policy(program: &Program, trace: &Trace, policy: Policy) -> SimResult {
-    let config = if policy == Policy::None {
-        MachineConfig::superscalar()
-    } else {
-        MachineConfig::hpca07()
-    };
-    let prepared = PreparedTrace::new(trace, &config);
-    if policy == Policy::None {
-        simulate(&prepared, &config, &mut NoSpawn)
-    } else {
-        let analysis = ProgramAnalysis::analyze(program);
-        let mut source = StaticSpawnSource::new(analysis.spawn_table(policy));
-        simulate(&prepared, &config, &mut source)
-    }
-}
-
-/// Simulates `trace` with the dynamic reconvergence-predictor spawn source
-/// of §4.4 (cold predictor, trained online on the retirement stream).
-pub fn run_reconvergence(trace: &Trace, reconv: ReconvConfig) -> SimResult {
-    let config = MachineConfig::hpca07();
-    let prepared = PreparedTrace::new(trace, &config);
-    let mut source = ReconvSpawnSource::new(reconv);
-    simulate(&prepared, &config, &mut source)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use polyflow_isa::{execute_window, AluOp, Cond, ProgramBuilder, Reg};
-
-    #[test]
-    fn run_policy_baseline_vs_postdoms() {
-        let mut b = ProgramBuilder::new();
-        b.begin_function("main");
-        let top = b.fresh_label("top");
-        let skip = b.fresh_label("skip");
-        b.li(Reg::R1, 0);
-        b.li(Reg::R10, 99991);
-        b.bind_label(top);
-        b.li(Reg::R11, 2654435761);
-        b.alu(AluOp::Mul, Reg::R10, Reg::R10, Reg::R11);
-        b.alui(AluOp::Srl, Reg::R12, Reg::R10, 13);
-        b.alui(AluOp::And, Reg::R12, Reg::R12, 1);
-        b.br_imm(Cond::Eq, Reg::R12, 0, skip);
-        b.alui(AluOp::Add, Reg::R3, Reg::R3, 7);
-        b.bind_label(skip);
-        b.alui(AluOp::Add, Reg::R1, Reg::R1, 1);
-        b.br_imm(Cond::Lt, Reg::R1, 300, top);
-        b.halt();
-        b.end_function();
-        let p = b.build().unwrap();
-        let trace = execute_window(&p, 100_000).unwrap().trace;
-
-        let base = run_policy(&p, &trace, Policy::None);
-        let pd = run_policy(&p, &trace, Policy::Postdoms);
-        assert_eq!(base.instructions, pd.instructions);
-        assert!(pd.total_spawns() > 0);
-    }
-
-    #[test]
-    fn run_reconvergence_executes() {
-        let mut b = ProgramBuilder::new();
-        b.begin_function("main");
-        let top = b.fresh_label("top");
-        b.li(Reg::R1, 0);
-        b.bind_label(top);
-        b.alui(AluOp::Add, Reg::R1, Reg::R1, 1);
-        b.br_imm(Cond::Lt, Reg::R1, 200, top);
-        b.halt();
-        b.end_function();
-        let p = b.build().unwrap();
-        let trace = execute_window(&p, 100_000).unwrap().trace;
-        let r = run_reconvergence(&trace, polyflow_reconv::ReconvConfig::default());
-        assert_eq!(r.instructions as usize, trace.len());
-    }
-}

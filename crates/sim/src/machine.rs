@@ -328,7 +328,7 @@ pub struct SimTelemetry {
 /// megabytes for the bundled workloads), the scheduler/divert/task
 /// vectors, and the feedback hash maps. A sweep that replays the same
 /// traces under many policies pays that cost for every cell; passing a
-/// `SimScratch` to [`simulate_with`] instead recycles the buffers from
+/// `SimScratch` to [`try_simulate_opts`] instead recycles the buffers from
 /// run to run (each worker thread of the parallel sweep harness keeps
 /// one). Results are bit-identical with or without scratch reuse — every
 /// buffer is fully reset before use.
@@ -622,105 +622,52 @@ pub fn simulate(
     config: &MachineConfig,
     source: &mut dyn SpawnSource,
 ) -> SimResult {
-    simulate_with(prepared, config, source, &mut SimScratch::default())
-}
-
-/// [`simulate`], but recycling the run's buffers through `scratch`.
-///
-/// Semantically identical to `simulate` — the scratch only donates
-/// allocations (every buffer is cleared and resized before use) and
-/// receives them back when the run finishes. Sweeps that replay the same
-/// traces under many policies should keep one `SimScratch` per worker
-/// thread and pass it to every cell.
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_with(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut dyn SpawnSource,
-    scratch: &mut SimScratch,
-) -> SimResult {
-    simulate_traced(prepared, config, source, scratch, &mut NullSink)
-}
-
-/// [`simulate_with`], additionally streaming structured [`SimEvent`]s to
-/// `sink` (see `crate::events`).
-///
-/// Event emission never feeds back into simulation state, so the
-/// returned [`SimResult`] is bit-identical for every sink; with the
-/// default [`NullSink`] (`enabled() == false`) events only reach the
-/// internal post-mortem ring.
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_traced(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut dyn SpawnSource,
-    scratch: &mut SimScratch,
-    sink: &mut dyn TraceSink,
-) -> SimResult {
-    match try_simulate_traced(prepared, config, source, scratch, sink) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
+    try_simulate(prepared, config, source).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible [`simulate`]: watchdog trips, malformed traces, and broken
 /// internal invariants surface as a typed [`SimError`] instead of a
-/// panic.
+/// panic. [`try_simulate_opts`] with fresh buffers, no event sink and
+/// default options.
 pub fn try_simulate(
     prepared: &PreparedTrace,
     config: &MachineConfig,
     source: &mut dyn SpawnSource,
 ) -> Result<SimResult, SimError> {
-    try_simulate_with(prepared, config, source, &mut SimScratch::default())
-}
-
-/// Fallible [`simulate_with`].
-pub fn try_simulate_with(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut dyn SpawnSource,
-    scratch: &mut SimScratch,
-) -> Result<SimResult, SimError> {
-    try_simulate_traced(prepared, config, source, scratch, &mut NullSink)
-}
-
-/// Fallible [`simulate_traced`]: the trace is structurally validated up
-/// front ([`Trace::validate`] → [`SimError::MalformedTrace`]), the
-/// watchdogs in [`MachineConfig`] bound the run, and every formerly
-/// panicking invariant site returns [`SimError::BrokenInvariant`].
-///
-/// On `Err` the scratch buffers donated to the run are *not* returned
-/// (the next run through the same scratch simply reallocates); results
-/// on `Ok` remain bit-identical with or without scratch reuse.
-pub fn try_simulate_traced(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut dyn SpawnSource,
-    scratch: &mut SimScratch,
-    sink: &mut dyn TraceSink,
-) -> Result<SimResult, SimError> {
-    Ok(try_simulate_opts(
+    let mut scratch = SimScratch::default();
+    try_simulate_opts(
         prepared,
         config,
         source,
-        scratch,
-        sink,
+        &mut scratch,
+        &mut NullSink,
         SimOptions::default(),
-    )?
-    .0)
+    )
+    .map(|(r, _)| r)
 }
 
-/// [`try_simulate_traced`] with explicit [`SimOptions`], additionally
-/// returning the run's [`SimTelemetry`] (how many cycles were
-/// fast-forwarded vs stepped). The options never change the result —
-/// `cycle_skip` on and off produce bit-identical [`SimResult`]s and
-/// event streams.
+/// The full simulation entry point, which [`simulate`] and
+/// [`try_simulate`] wrap.
+///
+/// * `scratch` donates reusable buffers: every buffer is cleared and
+///   resized before use, so results are bit-identical with or without
+///   reuse. Sweeps keep one [`SimScratch`] per worker thread.
+/// * `sink` receives structured [`SimEvent`]s (see `crate::events`).
+///   Event emission never feeds back into simulation state, so the
+///   result is bit-identical for every sink; with [`NullSink`]
+///   (`enabled() == false`) events only reach the internal post-mortem
+///   ring.
+/// * `opts` choose how the run executes, never what it computes:
+///   `cycle_skip` on and off produce bit-identical [`SimResult`]s and
+///   event streams. The returned [`SimTelemetry`] reports how many
+///   cycles were fast-forwarded vs stepped.
+///
+/// The trace is structurally validated up front ([`Trace::validate`] →
+/// [`SimError::MalformedTrace`]), the watchdogs in [`MachineConfig`]
+/// bound the run, and every formerly panicking invariant site returns
+/// [`SimError::BrokenInvariant`]. On `Err` the scratch buffers donated
+/// to the run are *not* returned (the next run through the same scratch
+/// simply reallocates).
 pub fn try_simulate_opts(
     prepared: &PreparedTrace,
     config: &MachineConfig,
@@ -2497,6 +2444,17 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical() {
+        fn run_with(
+            prep: &PreparedTrace,
+            cfg: &MachineConfig,
+            src: &mut dyn SpawnSource,
+            scratch: &mut SimScratch,
+        ) -> SimResult {
+            let opts = SimOptions::default();
+            try_simulate_opts(prep, cfg, src, scratch, &mut NullSink, opts)
+                .unwrap()
+                .0
+        }
         // Replaying different traces/policies through one SimScratch must
         // give exactly the results of fresh-allocation runs.
         let p1 = hard_hammock_program();
@@ -2512,14 +2470,13 @@ mod tests {
             for (trace, cfg) in [(&t1, &ss), (&t2, &ss), (&t1, &pf)] {
                 let prep = PreparedTrace::new(trace, cfg);
                 let fresh = simulate(&prep, cfg, &mut NoSpawn);
-                let reused = simulate_with(&prep, cfg, &mut NoSpawn, &mut scratch);
+                let reused = run_with(&prep, cfg, &mut NoSpawn, &mut scratch);
                 assert_eq!(fresh, reused);
             }
             let prep = PreparedTrace::new(&t1, &pf);
             let table = analysis.spawn_table(Policy::Postdoms);
             let fresh = simulate(&prep, &pf, &mut StaticSpawnSource::new(table.clone()));
-            let reused =
-                simulate_with(&prep, &pf, &mut StaticSpawnSource::new(table), &mut scratch);
+            let reused = run_with(&prep, &pf, &mut StaticSpawnSource::new(table), &mut scratch);
             assert_eq!(fresh, reused);
         }
     }

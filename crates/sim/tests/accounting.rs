@@ -6,10 +6,23 @@
 use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::{execute_window, AluOp, Cond, Program, ProgramBuilder, Reg};
 use polyflow_sim::{
-    simulate, simulate_traced, timeline, try_simulate_opts, Bucket, JsonlSink, MachineConfig,
-    NoSpawn, NullSink, PreparedTrace, RingSink, SimEvent, SimOptions, SimResult, SimScratch,
-    StaticSpawnSource,
+    simulate, timeline, try_simulate_opts, Bucket, JsonlSink, MachineConfig, NoSpawn, NullSink,
+    PreparedTrace, RingSink, SimEvent, SimOptions, SimResult, SimScratch, SpawnSource,
+    StaticSpawnSource, TraceSink,
 };
+
+/// One run streaming events to `sink`, with default options.
+fn simulate_traced(
+    prepared: &PreparedTrace,
+    cfg: &MachineConfig,
+    source: &mut dyn SpawnSource,
+    scratch: &mut SimScratch,
+    sink: &mut dyn TraceSink,
+) -> SimResult {
+    try_simulate_opts(prepared, cfg, source, scratch, sink, SimOptions::default())
+        .unwrap()
+        .0
+}
 
 /// A hammock-rich loop with data dependences: exercises spawns,
 /// mispredictions, diverts, and (under store-set/hint configs) squashes.
