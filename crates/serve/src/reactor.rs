@@ -50,11 +50,11 @@
 //!
 //! # Why the loop can sleep
 //!
-//! `poll(2)` wakes the loop for socket readiness, but batch completions
-//! happen on the batcher thread. The service's completion notifier
+//! `poll(2)` wakes the loop for socket readiness, but cells complete on
+//! the service's worker threads. The service's completion notifier
 //! (see [`crate::service::Service::set_notifier`]) writes one byte into
 //! a self-pipe (a `UnixStream` pair) registered with `poll`, so a
-//! finished batch wakes the reactor immediately — the loop needs no
+//! finished cell wakes the reactor immediately — the loop needs no
 //! short tick to deliver replies, and an idle server parks in the
 //! kernel.
 //!
@@ -300,7 +300,7 @@ impl<P> Conn<P> {
 
 /// The handle the reactor leaves behind for wakeups: writing one byte
 /// interrupts a parked `poll`. Cheap to clone; safe to call from any
-/// thread (the service's batcher calls it on batch completion, the
+/// thread (a service worker calls it when a cell completes, the
 /// server wrapper calls it to begin a drain).
 #[cfg(unix)]
 #[derive(Clone)]
@@ -436,7 +436,7 @@ impl<H: Handler> Reactor<H> {
 
     /// Parks in `poll(2)` until a socket is ready, the waker fires, or
     /// the tick elapses. Registers the listener (accepts), the waker
-    /// pipe (batch completions), every connection, and the handler's
+    /// pipe (cell completions), every connection, and the handler's
     /// sockets. Returns a readable flag per connection (index-aligned
     /// with `conns`) and a woke flag per handler socket.
     #[cfg(unix)]

@@ -5,15 +5,15 @@
 //! Each connection speaks the newline-delimited protocol of
 //! [`crate::protocol`]. All connections are driven by one reactor
 //! thread (see [`crate::reactor`] for the state machine); simulation
-//! work still executes on the pool via the service's micro-batcher, so
-//! the reactor never blocks on a cell. Malformed input gets a typed
+//! work executes on the service's worker threads, so the reactor never
+//! blocks on a cell. Malformed input gets a typed
 //! error response — a protocol mistake never costs the client its
 //! connection, and never kills the server.
 //!
 //! Shutdown (a signal, the `shutdown` verb, or [`Server::shutdown`])
 //! proceeds in order: stop accepting, let connections with queued or
 //! in-flight work deliver it and hang up on the idle rest, then drain
-//! the admission queue and join the batcher. Clients that were admitted
+//! the admission queue and join the workers. Clients that were admitted
 //! before the drain began still receive their replies.
 
 use crate::protocol::{self, ErrorKind, Request, ServeError};
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A running server: the service plus its TCP front end.
 pub struct Server {
@@ -41,7 +41,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0`), starts the service batcher
+    /// Binds `addr` (e.g. `127.0.0.1:0`), starts the service workers
     /// and the reactor thread, and returns. Use [`Server::addr`] to
     /// learn the bound port when asking for an ephemeral one.
     pub fn spawn(addr: &str, config: ServiceConfig) -> io::Result<Server> {
@@ -106,7 +106,7 @@ impl Server {
 
     /// Graceful drain: stop accepting, let connections finish their
     /// queued and in-flight work and hang up, drain the admission
-    /// queue, join the batcher. Idempotent; called by `Drop` as a
+    /// queue, join the workers. Idempotent; called by `Drop` as a
     /// backstop.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -165,14 +165,9 @@ impl Handler for ServeHandler {
             }
             Ok(Request::Simulate(req)) => {
                 let integrity = req.integrity;
-                // Same clamp `Service::submit` applies to its wait.
-                let deadline = req.deadline_ms.map(|ms| {
-                    Instant::now()
-                        + Duration::from_millis(ms).min(self.service.config().max_deadline)
-                });
                 match self.service.enqueue(*req) {
                     Ok(Ticket::Ready(hit)) => Step::Reply(reply_chunk(Ok(hit), integrity)),
-                    Ok(Ticket::Admitted(rx)) => Step::Pending(PendingReply {
+                    Ok(Ticket::Admitted { rx, deadline }) => Step::Pending(PendingReply {
                         rx,
                         integrity,
                         deadline,

@@ -1,14 +1,17 @@
-//! The service core: admission control, the micro-batcher, and the
-//! result cache, independent of any transport.
+//! The service core: admission control, single-flight cell execution on
+//! persistent workers, and the result cache, independent of any
+//! transport.
 //!
 //! Connection handlers call [`Service::submit`] (or the non-blocking
-//! [`Service::enqueue`]); a single batcher thread coalesces queued
-//! requests into batches and executes each batch as one
-//! [`sweep::run_batch_with`] dispatch on the work-stealing pool. The
-//! pipeline per unique cell is
+//! [`Service::enqueue`]). [`Service::start`] spawns `jobs` persistent
+//! worker threads; each pulls the next queued cell the moment it is
+//! free and runs it alone through [`sweep::run_batch_with`] at
+//! `jobs = 1` — inline on the worker, keeping the sweep's panic
+//! isolation, one retry and per-thread scratch arena. The pipeline per
+//! unique cell is
 //!
 //! ```text
-//! validate → cache lookup → admission queue → batcher → pool → render → cache
+//! validate → cache lookup → admission queue → worker → prepare → simulate → render → cache
 //! ```
 //!
 //! # Admission control
@@ -17,18 +20,29 @@
 //! arriving at a full queue is shed *immediately* with a typed
 //! [`ErrorKind::Overloaded`] error — it never blocks the connection
 //! handler and never hangs the client. Shedding at admission (rather
-//! than deep in the pool) keeps the latency of the rejection path
+//! than deep in a worker) keeps the latency of the rejection path
 //! constant no matter how far behind the simulator is.
+//!
+//! A request whose cache key is already queued or running joins that
+//! cell's waiters (taking no queue slot); every waiter receives a clone
+//! of the same `Arc<str>`.
+//!
+//! # Program registry
+//!
+//! Prepared programs are keyed by fingerprint. Preparation runs outside
+//! the registry lock, single-flight per program: the first worker
+//! prepares, the others wait on its slot. Bundled programs stay resident
+//! (the bundle is fixed); an upload's entry is dropped when the last
+//! cell that needs it has its reply, so memory does not grow with the
+//! upload count — a repeated upload is answered by the result cache.
 //!
 //! # Determinism
 //!
-//! Batch composition cannot affect results: every cell runs
-//! [`sweep::run_cell_with_config`] on its own validated config with a
-//! per-worker scratch arena, exactly what an offline caller would run,
+//! Which worker runs a cell, and when, cannot affect results: every cell
+//! runs [`sweep::run_cell_with_config`] on its own validated config with
+//! a per-worker scratch arena, exactly what an offline caller would run,
 //! and the response line is rendered from the result before it is cached
 //! — a cache hit replays the very bytes a fresh run would produce.
-//! Duplicate keys inside one batch are deduplicated; every duplicate
-//! waiter receives a clone of the same `Arc<str>`.
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::Journal;
@@ -36,29 +50,23 @@ use crate::json;
 use crate::protocol::{ErrorKind, ServeError, SimRequest, SimSource};
 use polyflow_bench::sweep::{self, CellOutcome};
 use polyflow_bench::{pool, PreparedWorkload};
-use polyflow_sim::{Bucket, MachineConfig};
+use polyflow_sim::Bucket;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tunables for one [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads for batch execution (0 = [`pool::resolve_jobs`]).
+    /// Simulation worker threads (0 = [`pool::resolve_jobs`]).
     pub jobs: usize,
     /// Admission-queue bound: requests beyond this are shed with
     /// [`ErrorKind::Overloaded`].
     pub queue_capacity: usize,
-    /// Largest number of queued requests drained into one batch.
-    pub batch_max: usize,
-    /// How long the batcher lingers after the first queued request to
-    /// coalesce followers into the same batch. Zero batches whatever is
-    /// already queued without waiting.
-    pub batch_window: Duration,
     /// Per-request watchdog: the `max_cycles` budget applied to requests
     /// that do not set their own.
     pub default_max_cycles: u64,
@@ -87,8 +95,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             jobs: 0,
             queue_capacity: 64,
-            batch_max: 32,
-            batch_window: Duration::from_millis(2),
             default_max_cycles: 50_000_000,
             cache_capacity: 1024,
             cache_dir: None,
@@ -109,25 +115,57 @@ pub type Reply = Result<Arc<str>, ServeError>;
 pub enum Ticket {
     /// Served from the cache; no queueing happened.
     Ready(Arc<str>),
-    /// Admitted; the reply arrives on this receiver when the batch
-    /// containing the request completes.
-    Admitted(Receiver<Reply>),
+    /// Admitted; the reply arrives on `rx` when the cell completes.
+    Admitted {
+        /// Where the reply lands.
+        rx: Receiver<Reply>,
+        /// When the waiter gives up and the queue drops the request:
+        /// `deadline_ms` from admission, capped by
+        /// [`ServiceConfig::max_deadline`].
+        deadline: Option<Instant>,
+    },
 }
 
-struct Pending {
+/// One client waiting on a queued or running cell.
+struct Waiter {
+    reply: Sender<Reply>,
+    deadline: Option<Instant>,
+}
+
+/// A program's preparation slot: filled once, by the first worker that
+/// needs it, while the others wait on it.
+type Slot = OnceLock<Result<Arc<PreparedWorkload>, ServeError>>;
+
+/// A queued cell.
+struct Job {
     key: CacheKey,
     req: SimRequest,
-    reply: Sender<Reply>,
-    /// Absolute expiry, when the request asked for one. The batcher
-    /// drops expired entries before dedup so a dead request never burns
-    /// pool time.
-    deadline: Option<Instant>,
+    program: Arc<Slot>,
+}
+
+/// The admission queue and the waiters of every queued or running cell
+/// (the single-flight table), under one lock.
+#[derive(Default)]
+struct Core {
+    queue: VecDeque<Job>,
+    waiters: HashMap<CacheKey, Vec<Waiter>>,
+}
+
+/// A registry entry: one program's slot and who holds it.
+#[derive(Default)]
+struct Entry {
+    slot: Arc<Slot>,
+    /// Queued or running cells that need this program.
+    users: usize,
+    /// Bundled programs are never dropped.
+    resident: bool,
 }
 
 /// Snapshot of the service's observability counters.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
-    /// Requests currently queued (admitted, not yet batched).
+    /// Requests currently queued (admitted, not yet picked up by a
+    /// worker).
     pub queue_depth: u64,
     /// The admission bound.
     pub queue_capacity: u64,
@@ -145,10 +183,15 @@ pub struct ServiceStats {
     /// Typed retry-worthy rejections handed out (`overloaded` +
     /// `shutting_down`) — the server-side mirror of client retries.
     pub retry_after: u64,
-    /// Batches executed.
+    /// Cells dispatched to workers (`batches.count` in `stats`).
     pub batches: u64,
-    /// Unique cells simulated across all batches.
+    /// Unique cells simulated (`batches.cells` in `stats`).
     pub batched_cells: u64,
+    /// Programs in the registry: the bundled ones touched so far plus
+    /// the uploads some queued or running cell still needs.
+    pub registry_entries: u64,
+    /// Program preparations run.
+    pub registry_prepared: u64,
     /// Milliseconds since the service was built.
     pub uptime_ms: u64,
     /// Cache entries replayed from the journal at boot.
@@ -182,6 +225,7 @@ impl ServiceStats {
              \"requests\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\
              \"deadline_exceeded\":{},\"retry_after\":{}}},\
              \"batches\":{{\"count\":{},\"cells\":{}}},\
+             \"registry\":{{\"entries\":{},\"prepared\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
              \"inserts\":{},\"entries\":{},\
              \"warm_start\":{},\"journal_bytes\":{}}},\
@@ -197,6 +241,8 @@ impl ServiceStats {
             self.retry_after,
             self.batches,
             self.batched_cells,
+            self.registry_entries,
+            self.registry_prepared,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
@@ -226,8 +272,9 @@ pub struct Service {
     journal: Option<Journal>,
     started: Instant,
     warm_start: u64,
-    registry: Mutex<HashMap<String, Arc<PreparedWorkload>>>,
-    queue: Mutex<VecDeque<Pending>>,
+    registry: Mutex<HashMap<String, Entry>>,
+    prepared: AtomicU64,
+    core: Mutex<Core>,
     notify: Condvar,
     shutdown: AtomicBool,
     shed: AtomicU64,
@@ -239,16 +286,16 @@ pub struct Service {
     batches: AtomicU64,
     batched_cells: AtomicU64,
     account: Mutex<AccountAgg>,
-    batcher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Transport completion hook: called after every batch so a parked
-    /// reactor wakes and delivers the replies (see
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Transport completion hook: called after every cell a worker
+    /// finishes so a parked reactor wakes and delivers the replies (see
     /// [`crate::reactor::Reactor`]). `None` for transports that block
     /// per-request.
     notifier: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl Service {
-    /// Builds a service. The batcher is **not** running yet — call
+    /// Builds a service. The workers are **not** running yet — call
     /// [`Service::start`] — so admitted requests queue up but nothing
     /// executes (tests use this to pin down admission behavior).
     pub fn new(config: ServiceConfig) -> Arc<Service> {
@@ -293,7 +340,8 @@ impl Service {
             warm_start,
             config,
             registry: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
+            prepared: AtomicU64::new(0),
+            core: Mutex::new(Core::default()),
             notify: Condvar::new(),
             shutdown: AtomicBool::new(false),
             shed: AtomicU64::new(0),
@@ -305,28 +353,30 @@ impl Service {
             batches: AtomicU64::new(0),
             batched_cells: AtomicU64::new(0),
             account: Mutex::new(AccountAgg::default()),
-            batcher: Mutex::new(None),
+            workers: Mutex::new(Vec::new()),
             notifier: Mutex::new(None),
         })
     }
 
-    /// Spawns the batcher thread. Idempotent.
+    /// Spawns the `jobs` worker threads. Idempotent.
     pub fn start(self: &Arc<Service>) {
-        let mut slot = self.batcher.lock().unwrap();
-        if slot.is_none() {
-            let svc = Arc::clone(self);
-            *slot = Some(
-                std::thread::Builder::new()
-                    .name("serve-batcher".into())
-                    .spawn(move || svc.batch_loop())
-                    .expect("spawn batcher"),
-            );
+        let mut workers = self.workers.lock().unwrap();
+        if workers.is_empty() {
+            *workers = (0..self.jobs)
+                .map(|i| {
+                    let svc = Arc::clone(self);
+                    std::thread::Builder::new()
+                        .name(format!("serve-worker-{i}"))
+                        .spawn(move || svc.work())
+                        .expect("spawn worker")
+                })
+                .collect();
         }
     }
 
     /// Registers the transport completion hook (replacing any previous
-    /// one): it runs after every executed batch and when the batcher
-    /// exits, so an event-driven transport learns "replies may be
+    /// one): it runs after every cell a worker finishes and when a
+    /// worker exits, so an event-driven transport learns "replies may be
     /// waiting" without polling.
     pub fn set_notifier(&self, f: impl Fn() + Send + Sync + 'static) {
         *self.notifier.lock().unwrap() = Some(Box::new(f));
@@ -357,17 +407,9 @@ impl Service {
         &self.config
     }
 
-    /// The request's effective absolute deadline: its `deadline_ms`
-    /// capped by the server-side [`ServiceConfig::max_deadline`].
-    fn deadline_of(&self, req: &SimRequest) -> Option<Instant> {
-        req.deadline_ms.map(|ms| {
-            let asked = Duration::from_millis(ms);
-            Instant::now() + asked.min(self.config.max_deadline)
-        })
-    }
-
-    /// Validates admission for one request: cache first, then the
-    /// bounded queue. Never blocks on simulation work.
+    /// Validates admission for one request: cache first, then a cell
+    /// already in flight, then the bounded queue. Never blocks on
+    /// simulation work.
     pub fn enqueue(&self, req: SimRequest) -> Result<Ticket, ServeError> {
         if self.shutdown.load(Ordering::SeqCst) {
             self.retry_after.fetch_add(1, Ordering::Relaxed);
@@ -385,63 +427,73 @@ impl Service {
             policy: req.policy_label(),
             config: req.config.fingerprint(),
         };
+        let deadline = req
+            .deadline_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms).min(self.config.max_deadline));
+        let (tx, rx) = channel();
+        let waiter = Waiter {
+            reply: tx,
+            deadline,
+        };
+        let mut core = self.core.lock().unwrap();
+        // Looked up under the core lock: a worker caches its result
+        // before it retires the cell's waiters, so a miss here means the
+        // cell is either in flight (join it) or not yet queued.
         if let Some(hit) = self.cache.get(&key) {
             self.completed.fetch_add(1, Ordering::Relaxed);
             return Ok(Ticket::Ready(hit));
         }
-        let deadline = self.deadline_of(&req);
-        let (tx, rx) = channel();
-        {
-            let mut q = self.queue.lock().unwrap();
-            if q.len() >= self.config.queue_capacity {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                self.retry_after.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::new(
-                    ErrorKind::Overloaded,
-                    format!("admission queue full ({} pending); retry later", q.len()),
-                ));
-            }
-            q.push_back(Pending {
-                key,
-                req,
-                reply: tx,
-                deadline,
-            });
+        if let Some(waiters) = core.waiters.get_mut(&key) {
+            waiters.push(waiter);
+            return Ok(Ticket::Admitted { rx, deadline });
         }
-        self.notify.notify_all();
-        Ok(Ticket::Admitted(rx))
+        if core.queue.len() >= self.config.queue_capacity {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            self.retry_after.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::new(
+                ErrorKind::Overloaded,
+                format!(
+                    "admission queue full ({} pending); retry later",
+                    core.queue.len()
+                ),
+            ));
+        }
+        let program = self.acquire(&key.workload, &req.source);
+        core.waiters.insert(key.clone(), vec![waiter]);
+        core.queue.push_back(Job { key, req, program });
+        drop(core);
+        self.notify.notify_one();
+        Ok(Ticket::Admitted { rx, deadline })
     }
 
     /// [`enqueue`](Service::enqueue) and wait for the reply. A request
     /// carrying a deadline waits at most that long: the caller gets a
     /// typed [`ErrorKind::DeadlineExceeded`] the moment the deadline
-    /// passes, even if the cell is still grinding in the pool (the
+    /// passes, even if the cell is still running on a worker (the
     /// result, if it ever lands, still populates the cache — only the
     /// waiter gives up).
     pub fn submit(&self, req: SimRequest) -> Reply {
-        let deadline = self.deadline_of(&req);
-        match self.enqueue(req)? {
-            Ticket::Ready(line) => Ok(line),
-            Ticket::Admitted(rx) => {
-                let recv = match deadline {
-                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                    Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
-                };
-                match recv {
-                    Ok(reply) => reply,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.deadlines.fetch_add(1, Ordering::Relaxed);
-                        Err(ServeError::new(
-                            ErrorKind::DeadlineExceeded,
-                            "deadline expired before the result was ready",
-                        ))
-                    }
-                    Err(RecvTimeoutError::Disconnected) => Err(ServeError::new(
-                        ErrorKind::Internal,
-                        "service stopped before replying",
-                    )),
-                }
+        let (rx, deadline) = match self.enqueue(req)? {
+            Ticket::Ready(line) => return Ok(line),
+            Ticket::Admitted { rx, deadline } => (rx, deadline),
+        };
+        let recv = match deadline {
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+        };
+        match recv {
+            Ok(reply) => reply,
+            Err(RecvTimeoutError::Timeout) => {
+                self.deadlines.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::new(
+                    ErrorKind::DeadlineExceeded,
+                    "deadline expired before the result was ready",
+                ))
             }
+            Err(RecvTimeoutError::Disconnected) => Err(ServeError::new(
+                ErrorKind::Internal,
+                "service stopped before replying",
+            )),
         }
     }
 
@@ -508,7 +560,7 @@ impl Service {
     pub fn stats(&self) -> ServiceStats {
         let account = self.account.lock().unwrap();
         ServiceStats {
-            queue_depth: self.queue.lock().unwrap().len() as u64,
+            queue_depth: self.core.lock().unwrap().queue.len() as u64,
             queue_capacity: self.config.queue_capacity as u64,
             shed: self.shed.load(Ordering::Relaxed),
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -518,6 +570,8 @@ impl Service {
             retry_after: self.retry_after.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched_cells: self.batched_cells.load(Ordering::Relaxed),
+            registry_entries: self.registry.lock().unwrap().len() as u64,
+            registry_prepared: self.prepared.load(Ordering::Relaxed),
             uptime_ms: self.started.elapsed().as_millis() as u64,
             warm_start: self.warm_start,
             journal_bytes: self.journal.as_ref().map_or(0, |j| j.size_bytes()),
@@ -528,9 +582,13 @@ impl Service {
     }
 
     /// Stops admitting simulation work. Already-queued requests still
-    /// drain; the batcher exits once the queue is empty.
+    /// drain; the workers exit once the queue is empty.
     pub fn begin_shutdown(&self) {
+        // Flipped under the core lock so a worker cannot check the flag,
+        // miss the wake-up, and then sleep forever.
+        let core = self.core.lock().unwrap();
         self.shutdown.store(true, Ordering::SeqCst);
+        drop(core);
         self.notify.notify_all();
     }
 
@@ -540,210 +598,166 @@ impl Service {
     }
 
     /// [`begin_shutdown`](Service::begin_shutdown), then wait for the
-    /// batcher to drain the queue and exit.
+    /// workers to drain the queue and exit.
     pub fn shutdown_and_join(&self) {
         self.begin_shutdown();
-        if let Some(handle) = self.batcher.lock().unwrap().take() {
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap());
+        for handle in workers {
             let _ = handle.join();
         }
         // Flush the journal so everything computed during the drain
-        // (including the batch that was in flight when SIGTERM landed)
-        // survives the restart.
+        // (including the cells in flight when SIGTERM landed) survives
+        // the restart.
         if let Some(j) = &self.journal {
             j.sync();
         }
     }
 
-    fn batch_loop(self: Arc<Service>) {
-        loop {
-            let batch = {
-                let mut q = self.queue.lock().unwrap();
-                loop {
-                    if !q.is_empty() {
-                        break;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // Queue drained and no new work: done. One last
-                        // notify so a reactor waiting on in-flight
-                        // replies sees the hangup promptly.
-                        self.notify_transport();
-                        return;
-                    }
-                    q = self.notify.wait(q).unwrap();
-                }
-                // Linger briefly so a burst coalesces into one batch
-                // (unless the batch is already full or we are draining).
-                if !self.config.batch_window.is_zero() {
-                    let deadline = Instant::now() + self.config.batch_window;
-                    while q.len() < self.config.batch_max && !self.shutdown.load(Ordering::SeqCst) {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, timeout) = self.notify.wait_timeout(q, deadline - now).unwrap();
-                        q = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                }
-                let take = q.len().min(self.config.batch_max);
-                q.drain(..take).collect::<Vec<Pending>>()
-            };
-            self.execute_batch(batch);
-            // Replies (including expired-drop and shed paths) landed on
-            // their channels; wake the transport to deliver them.
+    fn work(&self) {
+        while let Some(job) = self.next_job() {
+            self.run(job);
+            // Replies (expired-drop included) landed on their channels;
+            // wake the transport to deliver them.
             self.notify_transport();
+        }
+        // Drained and no new work: one last notify so a reactor waiting
+        // on in-flight replies sees the hangup promptly.
+        self.notify_transport();
+    }
+
+    /// Blocks for the next queued cell; `None` once the service is
+    /// draining and the queue is empty.
+    fn next_job(&self) -> Option<Job> {
+        let mut core = self.core.lock().unwrap();
+        loop {
+            if let Some(job) = core.queue.pop_front() {
+                return Some(job);
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            core = self.notify.wait(core).unwrap();
         }
     }
 
-    /// Runs one drained batch: dedup by key, re-check the cache, execute
-    /// the remaining unique cells as one pool dispatch, render + cache +
-    /// reply.
-    fn execute_batch(&self, batch: Vec<Pending>) {
-        if batch.is_empty() {
-            return;
-        }
+    /// Runs one dequeued cell and answers everyone waiting on it.
+    fn run(&self, job: Job) {
         self.batches.fetch_add(1, Ordering::Relaxed);
+        let answered = self.drop_expired(&job.key).then(|| {
+            let reply = self.execute(&job);
+            let waiters = self.core.lock().unwrap().waiters.remove(&job.key);
+            (waiters.expect("a running cell keeps its waiters"), reply)
+        });
+        // Let go of the program before replying, so a client holding its
+        // reply finds a finished upload already out of the registry.
+        self.release(&job.key.workload);
+        if let Some((waiters, reply)) = answered {
+            let counter = match reply {
+                Ok(_) => &self.completed,
+                Err(_) => &self.failed,
+            };
+            counter.fetch_add(waiters.len() as u64, Ordering::Relaxed);
+            for w in waiters {
+                let _ = w.reply.send(reply.clone()); // receiver may have hung up
+            }
+        }
+    }
 
-        // Expired requests are dropped here, before dedup and before any
-        // pool time is spent on them: the waiter has already (or will
-        // momentarily) time out in `submit`, so simulating the cell for
-        // it alone would be pure waste. (A cell that also has live
-        // waiters still runs — under dedup the expired waiter rides
-        // along for free.)
+    /// Answers the cell's expired waiters with a typed error before any
+    /// simulation time is spent on them, and retires the cell when
+    /// nobody is left waiting. True when live waiters remain.
+    fn drop_expired(&self, key: &CacheKey) -> bool {
         let now = Instant::now();
-        let batch: Vec<Pending> = batch
-            .into_iter()
-            .filter(|p| match p.deadline {
-                Some(d) if now >= d => {
-                    self.deadlines.fetch_add(1, Ordering::Relaxed);
-                    let _ = p.reply.send(Err(ServeError::new(
-                        ErrorKind::DeadlineExceeded,
-                        "deadline expired while queued",
-                    )));
-                    false
-                }
-                _ => true,
-            })
-            .collect();
-        if batch.is_empty() {
-            return;
-        }
-
-        // Group waiters by cell, preserving first-seen order.
-        let mut order: Vec<(CacheKey, SimRequest, Vec<Sender<Reply>>)> = Vec::new();
-        let mut index: HashMap<CacheKey, usize> = HashMap::new();
-        for p in batch {
-            match index.get(&p.key) {
-                Some(&i) => order[i].2.push(p.reply),
-                None => {
-                    index.insert(p.key.clone(), order.len());
-                    order.push((p.key, p.req, vec![p.reply]));
-                }
+        let mut core = self.core.lock().unwrap();
+        let waiters = core
+            .waiters
+            .get_mut(key)
+            .expect("a queued cell has waiters");
+        waiters.retain(|w| match w.deadline {
+            Some(d) if now >= d => {
+                self.deadlines.fetch_add(1, Ordering::Relaxed);
+                let _ = w.reply.send(Err(ServeError::new(
+                    ErrorKind::DeadlineExceeded,
+                    "deadline expired while queued",
+                )));
+                false
             }
+            _ => true,
+        });
+        let live = !waiters.is_empty();
+        if !live {
+            core.waiters.remove(key);
         }
+        live
+    }
 
-        // A key may have been filled between admission and batching.
-        let mut work: Vec<(CacheKey, SimRequest, Vec<Sender<Reply>>)> = Vec::new();
-        for (key, req, waiters) in order {
-            match self.cache.get(&key) {
-                Some(hit) => self.reply_ok(&waiters, hit),
-                None => work.push((key, req, waiters)),
-            }
-        }
-        if work.is_empty() {
-            return;
-        }
-        self.batched_cells
-            .fetch_add(work.len() as u64, Ordering::Relaxed);
-
-        // Resolve workloads (preparing on first touch). Preparation
-        // failures (a workload that cannot execute) come back as typed
-        // internal errors, not a dead batcher.
-        let mut items: Vec<(Arc<PreparedWorkload>, (sweep::Cell, MachineConfig))> = Vec::new();
-        let mut runnable: Vec<(CacheKey, SimRequest, Vec<Sender<Reply>>)> = Vec::new();
-        for (key, req, waiters) in work {
-            match self.prepared_workload(&key.workload, &req.source) {
-                Ok(w) => {
-                    items.push((w, (req.cell, req.config.clone())));
-                    runnable.push((key, req, waiters));
-                }
-                Err(e) => {
-                    self.failed
-                        .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-                    self.reply_err(&waiters, e);
-                }
-            }
-        }
-        if items.is_empty() {
-            return;
-        }
-
-        let (outcomes, _report) = sweep::run_batch_with(
+    /// Prepares (or reuses) the cell's program, simulates the cell, and
+    /// renders and caches the response line.
+    fn execute(&self, job: &Job) -> Reply {
+        let w = job
+            .program
+            .get_or_init(|| self.prepare(&job.req.source))
+            .clone()?;
+        self.batched_cells.fetch_add(1, Ordering::Relaxed);
+        let item = (w, (job.req.cell, &job.req.config));
+        let (mut outcomes, _report) = sweep::run_batch_with(
             "serve",
-            &items,
-            self.jobs,
+            std::slice::from_ref(&item),
+            1,
             |w, (cell, cfg), scratch| sweep::run_cell_with_config(w, *cell, cfg, scratch),
             |(cell, _)| cell.label(),
         );
-
-        for ((key, req, waiters), outcome) in runnable.into_iter().zip(outcomes) {
-            match outcome {
-                CellOutcome::Ok(result) => {
-                    {
-                        let mut agg = self.account.lock().unwrap();
-                        agg.cells += 1;
-                        for b in Bucket::ALL {
-                            agg.totals[b.index()] += result.account.bucket(b);
-                        }
+        match outcomes.pop().expect("one outcome per cell") {
+            CellOutcome::Ok(result) => {
+                {
+                    let mut agg = self.account.lock().unwrap();
+                    agg.cells += 1;
+                    for b in Bucket::ALL {
+                        agg.totals[b.index()] += result.account.bucket(b);
                     }
-                    let line = crate::protocol::ok_response(
-                        req.workload_label(),
-                        &req.policy_label(),
-                        &json::compact(&result.to_json()),
-                    );
-                    let line = self.store(key, Arc::from(line.as_str()));
-                    self.reply_ok(&waiters, line);
                 }
-                CellOutcome::Failed { payload, .. } => {
-                    self.failed
-                        .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-                    self.reply_err(&waiters, ServeError::new(ErrorKind::SimFailed, payload));
-                }
+                let line = crate::protocol::ok_response(
+                    job.req.workload_label(),
+                    &job.req.policy_label(),
+                    &json::compact(&result.to_json()),
+                );
+                Ok(self.store(job.key.clone(), Arc::from(line.as_str())))
+            }
+            CellOutcome::Failed { payload, .. } => {
+                Err(ServeError::new(ErrorKind::SimFailed, payload))
             }
         }
     }
 
-    fn reply_ok(&self, waiters: &[Sender<Reply>], line: Arc<str>) {
-        self.completed
-            .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-        for w in waiters {
-            let _ = w.send(Ok(Arc::clone(&line))); // receiver may have hung up
+    /// Takes a hold on the registry slot of the program with
+    /// `fingerprint`, creating the (empty) slot on first touch — so an
+    /// uploaded copy of a bundled benchmark shares the trace and
+    /// analysis prepared for the name, and vice versa.
+    fn acquire(&self, fingerprint: &str, source: &SimSource) -> Arc<Slot> {
+        let mut registry = self.registry.lock().unwrap();
+        let entry = registry.entry(fingerprint.to_string()).or_default();
+        entry.users += 1;
+        entry.resident |= matches!(source, SimSource::Bundled(_));
+        Arc::clone(&entry.slot)
+    }
+
+    /// Drops a hold taken by [`acquire`](Service::acquire); an upload's
+    /// entry goes with its last hold.
+    fn release(&self, fingerprint: &str) {
+        let mut registry = self.registry.lock().unwrap();
+        if let Some(entry) = registry.get_mut(fingerprint) {
+            entry.users -= 1;
+            if entry.users == 0 && !entry.resident {
+                registry.remove(fingerprint);
+            }
         }
     }
 
-    fn reply_err(&self, waiters: &[Sender<Reply>], e: ServeError) {
-        for w in waiters {
-            let _ = w.send(Err(e.clone()));
-        }
-    }
-
-    /// Resolves a request's program to a prepared workload, keyed by the
-    /// program fingerprint — so an uploaded copy of a bundled benchmark
-    /// reuses the trace and analysis prepared for the name (and vice
-    /// versa). An uploaded program that faults or never halts is the
-    /// client's mistake ([`ErrorKind::SimFailed`]); a bundled one that
-    /// does is ours ([`ErrorKind::Internal`]).
-    fn prepared_workload(
-        &self,
-        fingerprint: &str,
-        source: &SimSource,
-    ) -> Result<Arc<PreparedWorkload>, ServeError> {
-        let mut reg = self.registry.lock().unwrap();
-        if let Some(w) = reg.get(fingerprint) {
-            return Ok(Arc::clone(w));
-        }
+    /// Prepares a request's program. An uploaded program that faults or
+    /// never halts is the client's mistake ([`ErrorKind::SimFailed`]); a
+    /// bundled one that does is ours ([`ErrorKind::Internal`]).
+    fn prepare(&self, source: &SimSource) -> Result<Arc<PreparedWorkload>, ServeError> {
+        self.prepared.fetch_add(1, Ordering::Relaxed);
         let (workload, fail_kind) = match source {
             SimSource::Bundled(name) => {
                 let w = polyflow_workloads::by_name(name).ok_or_else(|| {
@@ -756,12 +770,10 @@ impl Service {
             }
             SimSource::Uploaded(w) => ((**w).clone(), ErrorKind::SimFailed),
         };
-        let prepared = catch_unwind(AssertUnwindSafe(|| PreparedWorkload::try_prepare(workload)))
+        catch_unwind(AssertUnwindSafe(|| PreparedWorkload::try_prepare(workload)))
             .unwrap_or_else(|_| Err("workload panicked during preparation".to_string()))
-            .map_err(|e| ServeError::new(fail_kind, e))?;
-        let arc = Arc::new(prepared);
-        reg.insert(fingerprint.to_string(), Arc::clone(&arc));
-        Ok(arc)
+            .map(Arc::new)
+            .map_err(|e| ServeError::new(fail_kind, e))
     }
 }
 
@@ -791,7 +803,7 @@ mod tests {
     }
 
     /// The K+1-th concurrent request gets a typed `Overloaded` rejection
-    /// — no hang, no panic. The batcher is deliberately not started, so
+    /// — no hang, no panic. The workers are deliberately not started, so
     /// the queue cannot drain under us.
     #[test]
     fn overload_sheds_with_typed_error() {
@@ -801,7 +813,7 @@ mod tests {
         });
         for i in 0..3 {
             match svc.enqueue(sim_request("gzip", "postdoms", 1000 + i)) {
-                Ok(Ticket::Admitted(_)) => {}
+                Ok(Ticket::Admitted { .. }) => {}
                 other => panic!("request {i} should be admitted, got {:?}", err_of(other)),
             }
         }
@@ -830,7 +842,7 @@ mod tests {
     }
 
     /// An uploaded program that never halts within its window is the
-    /// client's mistake: a typed `sim_failed` reply, not a dead batcher.
+    /// client's mistake: a typed `sim_failed` reply, not a dead worker.
     /// (The tiny `window` pragma keeps the preparation attempt cheap.)
     #[test]
     fn non_halting_upload_is_a_typed_sim_failure() {
@@ -882,24 +894,24 @@ mod tests {
         }
     }
 
-    /// A queued request whose deadline passes before the batcher gets to
-    /// it is answered with a typed `deadline_exceeded`, and the batcher
-    /// never burns a cell on it. The batcher is started only *after* the
+    /// A queued request whose deadline passes before a worker gets to
+    /// it is answered with a typed `deadline_exceeded`, and the worker
+    /// never burns a cell on it. The workers are started only *after* the
     /// deadline has already expired, so the drop-in-queue path (not the
-    /// submit timeout) is what fires first on the batcher side.
+    /// submit timeout) is what fires first on the worker side.
     #[test]
     fn expired_request_is_dropped_before_the_pool() {
         let svc = Service::new(ServiceConfig::default());
         let req = sim_request_with("gzip", "postdoms", 100_000, ",\"deadline_ms\":1");
         let rx = match svc.enqueue(req).expect("admitted") {
-            Ticket::Admitted(rx) => rx,
+            Ticket::Admitted { rx, .. } => rx,
             Ticket::Ready(_) => panic!("cold cache cannot be ready"),
         };
         std::thread::sleep(Duration::from_millis(20));
         svc.start();
         let reply = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("batcher answers expired requests");
+            .expect("worker answers expired requests");
         let e = reply.expect_err("expired request gets a typed error");
         assert_eq!(e.kind, ErrorKind::DeadlineExceeded);
         svc.shutdown_and_join();
@@ -909,14 +921,14 @@ mod tests {
     }
 
     /// `submit` with a deadline gives up waiting when the deadline
-    /// passes — here the batcher is simply never started, the bluntest
+    /// passes — here the workers are simply never started, the bluntest
     /// possible stall.
     #[test]
     fn submit_times_out_at_its_deadline() {
         let svc = Service::new(ServiceConfig::default());
         let req = sim_request_with("gzip", "postdoms", 100_000, ",\"deadline_ms\":30");
         let t0 = Instant::now();
-        let e = svc.submit(req).expect_err("no batcher, must time out");
+        let e = svc.submit(req).expect_err("no workers, must time out");
         assert_eq!(e.kind, ErrorKind::DeadlineExceeded);
         assert!(
             t0.elapsed() < Duration::from_secs(5),
@@ -961,15 +973,158 @@ mod tests {
         let second = Service::new(config);
         assert_eq!(second.stats().warm_start, 1, "one entry replayed");
         assert!(second.stats().journal_bytes > 0);
-        // No batcher started: only the cache can answer.
+        // No workers started: only the cache can answer.
         match second
             .enqueue(sim_request("gzip", "postdoms", 200_000))
             .expect("admitted or ready")
         {
             Ticket::Ready(warm) => assert_eq!(&*warm, &*line, "byte-identical"),
-            Ticket::Admitted(_) => panic!("warm entry must be served from cache"),
+            Ticket::Admitted { .. } => panic!("warm entry must be served from cache"),
         }
         assert_eq!(second.stats().batched_cells, 0);
+    }
+
+    fn upload_request(asm: &str, policy: &str, max_cycles: u64) -> SimRequest {
+        let line = format!(
+            "{{\"program\":\"{}\",\"policy\":\"{policy}\",\
+             \"config\":{{\"max_cycles\":{max_cycles}}}}}",
+            crate::json::escape(asm)
+        );
+        match parse_request(&line, u64::MAX).expect("valid request") {
+            Request::Simulate(r) => *r,
+            _ => unreachable!(),
+        }
+    }
+
+    const SAXPY: &str = include_str!("../../../workloads/asm/saxpy.asm");
+
+    fn admitted(t: Result<Ticket, ServeError>) -> Receiver<Reply> {
+        match t.expect("admitted") {
+            Ticket::Admitted { rx, .. } => rx,
+            Ticket::Ready(_) => panic!("cold cache cannot be ready"),
+        }
+    }
+
+    /// Two cells of one upload share one preparation, even on two
+    /// workers, and the upload leaves the registry with its last reply.
+    #[test]
+    fn one_upload_prepares_once_and_leaves_the_registry() {
+        let svc = Service::new(ServiceConfig {
+            jobs: 2,
+            ..ServiceConfig::default()
+        });
+        let a = admitted(svc.enqueue(upload_request(SAXPY, "postdoms", 1_000_000)));
+        let b = admitted(svc.enqueue(upload_request(SAXPY, "loop", 1_000_000)));
+        assert_eq!(svc.stats().registry_entries, 1, "one program, one entry");
+        svc.start();
+        a.recv().unwrap().expect("postdoms cell runs");
+        b.recv().unwrap().expect("loop cell runs");
+        let s = svc.stats();
+        assert_eq!(s.registry_prepared, 1, "single-flight preparation");
+        assert_eq!(s.registry_entries, 0, "no reply pending, no upload kept");
+        assert_eq!(s.batched_cells, 2);
+        svc.shutdown_and_join();
+    }
+
+    /// The trade-off of not keeping uploads: the same cell asked again
+    /// is a cache hit, but a new cell of the same upload prepares again.
+    #[test]
+    fn a_repeated_upload_is_a_cache_hit_and_a_new_cell_prepares_again() {
+        let svc = Service::new(ServiceConfig {
+            jobs: 1,
+            ..ServiceConfig::default()
+        });
+        svc.start();
+        let first = svc
+            .submit(upload_request(SAXPY, "postdoms", 1_000_000))
+            .expect("cell runs");
+        match svc.enqueue(upload_request(SAXPY, "postdoms", 1_000_000)) {
+            Ok(Ticket::Ready(again)) => assert!(Arc::ptr_eq(&first, &again)),
+            _ => panic!("a repeated cell is answered by the result cache"),
+        }
+        assert_eq!(svc.stats().registry_prepared, 1);
+        svc.submit(upload_request(SAXPY, "loop", 1_000_000))
+            .expect("cell runs");
+        let s = svc.stats();
+        assert_eq!(s.registry_prepared, 2, "the registry did not keep it");
+        assert_eq!(s.registry_entries, 0);
+        svc.shutdown_and_join();
+    }
+
+    /// An upload that cannot prepare fails every waiter — the joiner of
+    /// its cell and the other cell sharing its program — with one
+    /// attempt, and leaves nothing behind in the registry.
+    #[test]
+    fn a_failed_preparation_fails_every_waiter_and_leaves_no_entry() {
+        let spin = "; window: 10_000\nfn main {\nspin:\n    j spin\n}";
+        let svc = Service::new(ServiceConfig {
+            jobs: 2,
+            ..ServiceConfig::default()
+        });
+        let rxs = [
+            admitted(svc.enqueue(upload_request(spin, "postdoms", 1000))),
+            admitted(svc.enqueue(upload_request(spin, "postdoms", 1000))),
+            admitted(svc.enqueue(upload_request(spin, "loop", 1000))),
+        ];
+        assert_eq!(svc.stats().queue_depth, 2, "the duplicate joined");
+        svc.start();
+        for rx in rxs {
+            let e = rx.recv().unwrap().expect_err("spin loop cannot prepare");
+            assert_eq!(e.kind, ErrorKind::SimFailed);
+        }
+        let s = svc.stats();
+        assert_eq!(s.failed, 3);
+        assert_eq!(s.registry_prepared, 1, "the failure is shared too");
+        assert_eq!(s.registry_entries, 0);
+        svc.shutdown_and_join();
+    }
+
+    /// A request for a cell that is already running joins it: same
+    /// bytes, same allocation, one simulation. The test holds the cell
+    /// running by preparing its program itself behind a gate, so the
+    /// worker waits on the program's slot until the join has happened.
+    #[test]
+    fn a_request_joining_a_running_cell_shares_its_reply() {
+        let svc = Service::new(ServiceConfig {
+            jobs: 1,
+            ..ServiceConfig::default()
+        });
+        let req = || sim_request("gzip", "postdoms", 1_000_000_000);
+        let slot = svc.acquire(&req().fingerprint(), &req().source);
+        let (entered_tx, entered_rx) = channel();
+        let (gate_tx, gate_rx) = channel::<()>();
+        let preparer = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                slot.get_or_init(|| {
+                    entered_tx.send(()).unwrap();
+                    gate_rx.recv().unwrap();
+                    svc.prepare(&req().source)
+                });
+            })
+        };
+        entered_rx.recv().unwrap();
+        let first = admitted(svc.enqueue(req()));
+        svc.start();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while svc.stats().batches == 0 {
+            assert!(Instant::now() < deadline, "worker never took the cell");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let joined = match svc.enqueue(req()) {
+            Ok(Ticket::Admitted { rx, .. }) => rx,
+            Ok(Ticket::Ready(_)) => panic!("the cell finished before the join"),
+            Err(e) => panic!("join refused: {e}"),
+        };
+        assert_eq!(svc.stats().queue_depth, 0, "a joiner queues nothing");
+        gate_tx.send(()).unwrap();
+        preparer.join().unwrap();
+        let a = first.recv().unwrap().expect("cell runs");
+        let b = joined.recv().unwrap().expect("joiner gets the reply");
+        assert!(Arc::ptr_eq(&a, &b), "one rendered line for both");
+        assert_eq!(svc.stats().batched_cells, 1);
+        svc.release(&req().fingerprint());
+        svc.shutdown_and_join();
     }
 
     #[test]
@@ -990,5 +1145,8 @@ mod tests {
             Some(64)
         );
         assert!(stats.get("account").unwrap().get("retire").is_some());
+        let registry = stats.get("registry").unwrap();
+        assert_eq!(registry.get("entries").unwrap().as_u64(), Some(0));
+        assert_eq!(registry.get("prepared").unwrap().as_u64(), Some(0));
     }
 }

@@ -192,23 +192,26 @@ fn sigkill_then_warm_restart_is_byte_identical() {
 #[test]
 fn sigterm_drain_finishes_inflight_upload_and_flushes_journal() {
     let dir = temp_dir("sigterm");
-    // A long batch window keeps the request visibly in flight while the
-    // signal lands.
-    let server = ServerProc::spawn(&dir, &["--batch-window-ms", "500"]);
+    let server = ServerProc::spawn(&dir, &[]);
     let addr = server.addr.clone();
 
-    let asm = polyflow_isa::to_asm(&polyflow_workloads::by_name("gzip").unwrap().program);
+    // A program slow to prepare keeps the request visibly in flight
+    // while the signal lands: its 2M-instruction trace took 217 ms to
+    // prepare in release on a 2-vCPU Xeon VM, over 20 of the 10 ms stats
+    // polls below.
+    let asm = "; window: 3_000_000\n.program spin\nfn main {\n    li r1, 0\n    \
+               li r2, 1000000\nloop:\n    addi r1, r1, 1\n    blt r1, r2, loop\n    halt\n}\n";
     let upload = format!(
         "{{\"program\":\"{}\",\"policy\":\"postdoms\",\
          \"config\":{{\"max_cycles\":{BUDGET}}}}}",
-        polyflow_serve::json::escape(&asm)
+        polyflow_serve::json::escape(asm)
     );
     let inflight = {
         let upload = upload.clone();
         std::thread::spawn(move || exchange_at(&addr, &upload))
     };
 
-    // Wait until the request is admitted (it sits in the 500ms window).
+    // Wait until the request is admitted (it is still preparing).
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = server.exchange("stats");
@@ -231,7 +234,7 @@ fn sigterm_drain_finishes_inflight_upload_and_flushes_journal() {
     );
 
     // The drained cell survived to disk: a fresh server serves the very
-    // same bytes warm (and by bundled name too — fingerprint keying).
+    // same bytes warm.
     let server = ServerProc::spawn(&dir, &[]);
     let stats = server.exchange("stats");
     assert!(stat_u64(&stats, &["cache", "warm_start"]) >= 1, "{stats}");

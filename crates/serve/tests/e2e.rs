@@ -1,6 +1,6 @@
 //! End-to-end tests for the service: TCP protocol round-trips, cache
-//! behavior under concurrency, batch-composition determinism, and
-//! overload shedding. Uses the debug-build-sized workload subset
+//! behavior under concurrency, worker-count determinism, and overload
+//! shedding. Uses the debug-build-sized workload subset
 //! (`bzip2`, `gzip`) like the bench crate's determinism test; the CI
 //! smoke job exercises the full Figure 9 grid in release via
 //! `loadgen --verify-fig09`.
@@ -21,8 +21,6 @@ fn test_config() -> ServiceConfig {
     ServiceConfig {
         jobs: 2,
         queue_capacity: 32,
-        batch_max: 16,
-        batch_window: Duration::from_millis(1),
         default_max_cycles: BUDGET,
         cache_capacity: 64,
         ..ServiceConfig::default()
@@ -34,6 +32,45 @@ fn sim_line(workload: &str, policy: &str) -> String {
         "{{\"workload\":\"{workload}\",\"policy\":\"{policy}\",\
          \"config\":{{\"max_cycles\":{BUDGET}}}}}"
     )
+}
+
+/// An upload that holds a worker: preparing its 2M-instruction trace
+/// takes about 0.2 s in release. Its one-cycle budget then fails the
+/// simulation at once, so the preparation is all it costs.
+fn slow_upload_line() -> String {
+    let asm = "; window: 3_000_000\n.program spin\nfn main {\n    li r1, 0\n    \
+               li r2, 1000000\nloop:\n    addi r1, r1, 1\n    blt r1, r2, loop\n    halt\n}\n";
+    format!(
+        "{{\"program\":\"{}\",\"config\":{{\"max_cycles\":1}}}}",
+        json::escape(asm)
+    )
+}
+
+/// Sends `line` on a fresh connection from another thread; the handle
+/// yields the reply.
+fn spawn_exchange(addr: std::net::SocketAddr, line: String) -> std::thread::JoinHandle<String> {
+    std::thread::spawn(move || {
+        let writer = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+        let mut w = writer;
+        w.write_all(format!("{line}\n").as_bytes()).expect("write");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        reply
+    })
+}
+
+/// Blocks until the server's one worker has picked up a cell (the slow
+/// upload sent just before).
+fn wait_until_worker_busy(server: &Server) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while server.service().stats().batches == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "slow upload never reached the worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn sim_request(line: &str) -> polyflow_serve::SimRequest {
@@ -201,10 +238,9 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
     .map(|(w, p)| sim_line(w, p))
     .collect();
 
-    // Serial: one at a time, no coalescing window, one worker.
+    // Serial: one at a time, one worker.
     let serial = Service::new(ServiceConfig {
         jobs: 1,
-        batch_window: Duration::ZERO,
         ..test_config()
     });
     serial.start();
@@ -219,14 +255,12 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
         .collect();
     serial.shutdown_and_join();
 
-    // Batched: all six enqueued inside one long window (they coalesce
-    // into one mixed-workload batch), four workers, reversed order.
+    // Concurrent: all six enqueued in reversed order before four workers
+    // start, so the mixed-workload cells run side by side.
     let batched = Service::new(ServiceConfig {
         jobs: 4,
-        batch_window: Duration::from_millis(300),
         ..test_config()
     });
-    batched.start();
     let tickets: Vec<(
         usize,
         std::sync::mpsc::Receiver<polyflow_serve::service::Reply>,
@@ -235,10 +269,11 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
         .enumerate()
         .rev()
         .map(|(i, l)| match batched.enqueue(sim_request(l)).unwrap() {
-            Ticket::Admitted(rx) => (i, rx),
+            Ticket::Admitted { rx, .. } => (i, rx),
             Ticket::Ready(_) => panic!("cold cache cannot be ready"),
         })
         .collect();
+    batched.start();
     let mut batched_replies = vec![String::new(); requests.len()];
     for (i, rx) in tickets {
         batched_replies[i] = rx.recv().unwrap().expect("cell simulates").to_string();
@@ -255,29 +290,22 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
 
 #[test]
 fn burst_beyond_queue_capacity_is_shed_typed_not_hung() {
-    // Window long enough that the first request is still queued when the
-    // second arrives; capacity 1 makes the second the K+1-th.
+    // The one worker is busy with a slow upload, so the first request is
+    // still queued when the second arrives; capacity 1 makes the second
+    // the K+1-th.
     let mut server = Server::spawn(
         "127.0.0.1:0",
         ServiceConfig {
+            jobs: 1,
             queue_capacity: 1,
-            batch_window: Duration::from_secs(5),
             ..test_config()
         },
     )
     .expect("bind");
 
-    let addr = server.addr();
-    let first = std::thread::spawn(move || {
-        let writer = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(writer.try_clone().expect("clone"));
-        let mut w = writer;
-        w.write_all(format!("{}\n", sim_line("gzip", "baseline")).as_bytes())
-            .expect("write");
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("read");
-        reply
-    });
+    let blocker = spawn_exchange(server.addr(), slow_upload_line());
+    wait_until_worker_busy(&server);
+    let first = spawn_exchange(server.addr(), sim_line("gzip", "baseline"));
 
     // Wait until the first request occupies the queue.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -294,15 +322,15 @@ fn burst_beyond_queue_capacity_is_shed_typed_not_hung() {
     assert_eq!(error_kind(&reply), "overloaded");
     assert_eq!(server.service().stats().shed, 1);
 
-    // Drain: the queued request still completes (shutdown cuts the
-    // linger window short) and the shed client got its answer above —
-    // nobody hangs.
+    // Drain: the queued request still completes behind the slow upload,
+    // and the shed client got its answer above — nobody hangs.
     server.shutdown();
     let first_reply = first.join().unwrap();
     assert!(
         first_reply.starts_with("{\"ok\":true"),
         "queued request completed during drain: {first_reply}"
     );
+    blocker.join().unwrap();
 }
 
 #[test]
@@ -569,16 +597,18 @@ fn integrity_trailer_round_trips_over_the_wire() {
 /// typed `deadline_exceeded`, and the stats counter records it.
 #[test]
 fn wire_deadline_exceeded_is_typed_and_counted() {
-    // A long batch window holds the request in the queue well past its
-    // 25ms deadline.
+    // The one worker is busy with a slow upload, which holds the request
+    // in the queue well past its 25ms deadline.
     let mut server = Server::spawn(
         "127.0.0.1:0",
         ServiceConfig {
-            batch_window: Duration::from_millis(400),
+            jobs: 1,
             ..test_config()
         },
     )
     .expect("bind");
+    let blocker = spawn_exchange(server.addr(), slow_upload_line());
+    wait_until_worker_busy(&server);
     let mut c = Client::connect(&server);
     let line = format!(
         "{{\"workload\":\"gzip\",\"policy\":\"postdoms\",\
@@ -590,6 +620,7 @@ fn wire_deadline_exceeded_is_typed_and_counted() {
     let requests = stats.get("stats").unwrap().get("requests").unwrap();
     assert!(requests.get("deadline_exceeded").unwrap().as_u64().unwrap() >= 1);
     server.shutdown();
+    blocker.join().unwrap();
 }
 
 /// The persistent tier end to end, in process: populate → drain →

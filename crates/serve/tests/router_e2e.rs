@@ -22,8 +22,6 @@ fn backend_config() -> ServiceConfig {
     ServiceConfig {
         jobs: 2,
         queue_capacity: 32,
-        batch_max: 16,
-        batch_window: Duration::from_millis(1),
         default_max_cycles: BUDGET,
         cache_capacity: 64,
         ..ServiceConfig::default()
