@@ -37,7 +37,7 @@ use polyflow_dataflow::oracle::{self, CfgShape};
 use polyflow_isa::rng::SplitMix64;
 use polyflow_isa::{
     execute_window, parse_program, to_asm, AluOp, Cond, Inst, InstClass, Interpreter, Pc, Program,
-    ProgramBuilder, Reg, Trace, TraceError,
+    ProgramBuilder, Reg, Trace, TraceEntry, TraceError,
 };
 use polyflow_sim::{
     try_simulate, MachineConfig, NoSpawn, PreparedTrace, SimError, StaticSpawnSource,
@@ -439,7 +439,6 @@ fn pick_index(
     pred: impl Fn(usize, InstClass) -> bool,
 ) -> Option<usize> {
     let hits: Vec<usize> = trace
-        .entries()
         .iter()
         .enumerate()
         .filter(|(i, e)| pred(*i, e.class()))
@@ -450,6 +449,13 @@ fn pick_index(
     } else {
         Some(hits[rng.index(hits.len())])
     }
+}
+
+/// Rewrites entry `i` of `trace` with `f` (through [`Trace::set_entry`]).
+fn edit(trace: &mut Trace, i: usize, f: impl FnOnce(&mut TraceEntry)) {
+    let mut e = trace.entry(i);
+    f(&mut e);
+    trace.set_entry(i, e);
 }
 
 /// Applies `fault` to `trace`, returning the corrupted index (None if the
@@ -470,38 +476,39 @@ fn inject(
             // Not the final entry: the chain check needs a successor.
             let i = rng.index(len - 1);
             let actual = trace.entry(i + 1).pc;
-            trace.entries_mut()[i].next_pc = actual.next();
+            edit(trace, i, |e| e.next_pc = actual.next());
             Some(i)
         }
         Fault::DropMemAddr => {
             let i = pick_index(trace, rng, |_, c| {
                 matches!(c, InstClass::Load | InstClass::Store)
             })?;
-            trace.entries_mut()[i].mem_addr = None;
+            edit(trace, i, |e| e.mem_addr = None);
             Some(i)
         }
         Fault::BogusMemAddr => {
             let i = pick_index(trace, rng, |_, c| c == InstClass::Alu)?;
-            trace.entries_mut()[i].mem_addr = Some(rng.next_u64());
+            let addr = rng.next_u64();
+            edit(trace, i, |e| e.mem_addr = Some(addr));
             Some(i)
         }
         Fault::TakenAlu => {
             let i = pick_index(trace, rng, |_, c| c == InstClass::Alu)?;
-            trace.entries_mut()[i].taken = true;
+            edit(trace, i, |e| e.taken = true);
             Some(i)
         }
         Fault::NotTakenJump => {
             let i = pick_index(trace, rng, |_, c| {
                 matches!(c, InstClass::Jump | InstClass::Call | InstClass::Ret)
             })?;
-            trace.entries_mut()[i].taken = false;
+            edit(trace, i, |e| e.taken = false);
             Some(i)
         }
         Fault::MidHalt => {
             // An ALU entry strictly before the end becomes a halt; the
             // structural pass flags it before any class-specific check.
             let i = pick_index(trace, rng, |i, c| c == InstClass::Alu && i + 1 < len)?;
-            trace.entries_mut()[i].inst = Inst::Halt;
+            edit(trace, i, |e| e.inst = Inst::Halt);
             Some(i)
         }
         Fault::TruncateTail => {
@@ -512,13 +519,12 @@ fn inject(
             // Entry 0: its pc participates in no predecessor's chain
             // check, so the corruption is structurally invisible and only
             // the program-relative tier can catch it.
-            trace.entries_mut()[0].pc = Pc::new(program.len() as u32 + 100);
+            edit(trace, 0, |e| e.pc = Pc::new(program.len() as u32 + 100));
             Some(0)
         }
         Fault::InstSwap => {
             let i = pick_index(trace, rng, |_, c| c == InstClass::Alu)?;
-            let e = &mut trace.entries_mut()[i];
-            e.inst = match e.inst {
+            let inst = match trace.entry(i).inst {
                 Inst::AluI { op, rd, rs, imm } => Inst::AluI {
                     op,
                     rd,
@@ -537,6 +543,7 @@ fn inject(
                 },
                 other => other,
             };
+            edit(trace, i, |e| e.inst = inst);
             Some(i)
         }
     }
@@ -714,7 +721,7 @@ fn fuzz_one_inner(seed: u64, faults: bool) -> Result<(), String> {
             return Err("stepping interpreter overran the window".to_string());
         }
     }
-    if run.trace.entries() != stepped.entries() {
+    if run.trace != stepped {
         return Err(format!(
             "batch and stepped traces diverge (len {} vs {})",
             run.trace.len(),
@@ -730,7 +737,7 @@ fn fuzz_one_inner(seed: u64, faults: bool) -> Result<(), String> {
             ));
         }
     }
-    for e in run.trace.entries() {
+    for e in &run.trace {
         if let Some(addr) = e.mem_addr {
             if batch.memory().read(addr) != stepper.memory().read(addr) {
                 return Err(format!("memory divergence at address {addr:#x}"));
@@ -748,7 +755,7 @@ fn fuzz_one_inner(seed: u64, faults: bool) -> Result<(), String> {
     }
     let rerun = execute_window(&reparsed, WINDOW)
         .map_err(|e| format!("round-tripped program failed: {e}"))?;
-    if rerun.trace.entries() != run.trace.entries() {
+    if rerun.trace != run.trace {
         return Err("assembler round-trip changed the trace".to_string());
     }
 

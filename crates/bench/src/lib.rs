@@ -92,6 +92,20 @@ impl PreparedWorkload {
         &self.pc_index
     }
 
+    /// Heap bytes of the trace columns and its shared oracles, plus
+    /// every [`PreparedTrace`] built so far ([`Self::prepared`]). The
+    /// program text and the static analysis are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let preps: usize = self
+            .preps
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, p)| p.heap_bytes())
+            .sum();
+        self.trace.heap_bytes() + self.dataflow.heap_bytes() + self.pc_index.heap_bytes() + preps
+    }
+
     /// The prepared trace for `cfg`: built once per predictor
     /// configuration ([`MachineConfig::predictor_key`]) on first use and
     /// shared (cheap `Arc` clones) by every subsequent run, across

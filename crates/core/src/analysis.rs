@@ -134,14 +134,16 @@ pub struct ProgramAnalysis {
 }
 
 impl ProgramAnalysis {
-    /// Analyzes every function in `program`.
+    /// Analyzes every function in `program`, solving on the calling
+    /// thread — callers that already run on a pool worker (program
+    /// preparation, serve workers) must not fan out again.
     ///
     /// Functions whose CFG cannot be built — degenerate metadata that the
     /// [`polyflow_isa::ProgramBuilder`] never produces — are skipped here
     /// rather than panicking; [`crate::verify`] reports each one as a
     /// `degenerate-cfg` diagnostic.
     pub fn analyze(program: &Program) -> ProgramAnalysis {
-        Self::analyze_inner(program, None)
+        Self::analyze_with_jobs(program, 1)
     }
 
     /// [`ProgramAnalysis::analyze`] with an explicit worker count for the
@@ -149,10 +151,6 @@ impl ProgramAnalysis {
     /// The solver is bit-identical at every `jobs`, so results never
     /// depend on the worker count — only wall-clock does.
     pub fn analyze_with_jobs(program: &Program, jobs: usize) -> ProgramAnalysis {
-        Self::analyze_inner(program, Some(jobs))
-    }
-
-    fn analyze_inner(program: &Program, jobs: Option<usize>) -> ProgramAnalysis {
         let functions: Vec<FunctionAnalysis> = program
             .functions()
             .iter()
@@ -162,10 +160,7 @@ impl ProgramAnalysis {
             .iter()
             .flat_map(FunctionAnalysis::candidates)
             .collect();
-        let liveness = match jobs {
-            Some(j) => InterLiveness::compute_with_jobs(program, j),
-            None => InterLiveness::compute(program),
-        };
+        let liveness = InterLiveness::compute_with_jobs(program, jobs);
         ProgramAnalysis {
             functions,
             candidates,

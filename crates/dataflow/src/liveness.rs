@@ -342,18 +342,17 @@ impl SuperGraph {
 }
 
 impl InterLiveness {
-    /// Builds the supergraph and solves backward liveness over it, using
-    /// the SCC-parallel solver with the process-wide worker count
-    /// (`--jobs` / `POLYFLOW_JOBS` / CPU count — see
-    /// [`polyflow_pool::resolve_jobs`]). The parallel solver is
-    /// bit-identical to the sequential one, so the worker count can
-    /// never show through in the result.
+    /// Builds the supergraph and solves backward liveness over it on the
+    /// calling thread.
     pub fn compute(program: &Program) -> InterLiveness {
-        InterLiveness::compute_with_jobs(program, polyflow_pool::resolve_jobs())
+        InterLiveness::compute_with_jobs(program, 1)
     }
 
     /// [`InterLiveness::compute`] with an explicit worker count for the
-    /// supergraph solve (`lint --jobs` times both paths through this).
+    /// SCC-parallel supergraph solve (`lint --jobs` times both paths
+    /// through this). The parallel solver is bit-identical to the
+    /// sequential one, so the worker count never shows through in the
+    /// result.
     pub fn compute_with_jobs(program: &Program, jobs: usize) -> InterLiveness {
         let cfgs = Cfg::build_all(program);
         let sg = SuperGraph::build(program, &cfgs);

@@ -251,6 +251,7 @@ impl<'p> Interpreter<'p> {
                     trace.push(e);
                     steps += 1;
                     if self.halted {
+                        trace.shrink_to_fit();
                         return Ok(ExecResult {
                             trace,
                             halted: true,
@@ -259,11 +260,12 @@ impl<'p> Interpreter<'p> {
                     }
                 }
                 None => {
+                    trace.shrink_to_fit();
                     return Ok(ExecResult {
                         trace,
                         halted: true,
                         steps,
-                    })
+                    });
                 }
             }
         }
@@ -296,6 +298,7 @@ pub fn execute_window(program: &Program, window: u64) -> Result<ExecResult, Exec
             None => break,
         }
     }
+    trace.shrink_to_fit();
     Ok(ExecResult {
         trace,
         halted: interp.is_halted(),

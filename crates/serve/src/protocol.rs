@@ -18,7 +18,8 @@
 //! * `workload` — a bundled benchmark, one of
 //!   [`polyflow_workloads::names`]; **or** `program` — assembly text
 //!   (the [`polyflow_isa::parse_program`] grammar) uploaded for
-//!   simulation, exactly one of the two.
+//!   simulation, exactly one of the two. An upload's `; window: N`
+//!   pragma may not exceed [`MAX_UPLOAD_WINDOW`].
 //! * `policy` — optional (default `postdoms`); any Figure 9 policy name,
 //!   `superscalar`/`baseline`/`none` for the no-spawn baseline, or
 //!   `rec_pred` for the dynamic reconvergence predictor (§4.4).
@@ -244,6 +245,13 @@ pub const CONFIG_KEYS: &[&str] = &[
     "profitability_feedback",
 ];
 
+/// Upper bound on an uploaded program's `; window: N` pragma, in
+/// instructions. Preparation keeps every retired instruction resident,
+/// so the window bounds an upload's memory; twice
+/// [`polyflow_workloads::DEFAULT_ASM_WINDOW`], and above every bundled
+/// window.
+pub const MAX_UPLOAD_WINDOW: u64 = 2 * polyflow_workloads::DEFAULT_ASM_WINDOW;
+
 /// Upper bound on requested task contexts (the paper's machine has 8;
 /// this only guards against absurd allocations, not design exploration).
 const MAX_TASKS_LIMIT: usize = 64;
@@ -345,6 +353,12 @@ fn parse_simulate(v: &Json, default_max_cycles: u64) -> Result<Request, ServeErr
                 .ok_or_else(|| bad("`program` must be a string"))?;
             let workload = polyflow_workloads::from_asm_str(asm, "program")
                 .map_err(|e| bad(format!("program does not assemble: {e}")))?;
+            if workload.window > MAX_UPLOAD_WINDOW {
+                return Err(bad(format!(
+                    "window {} exceeds the upload limit of {MAX_UPLOAD_WINDOW} instructions",
+                    workload.window
+                )));
+            }
             SimSource::Uploaded(Box::new(workload))
         }
     };
@@ -704,6 +718,25 @@ mod tests {
             panic!("not a simulate")
         };
         assert_eq!(r.config.max_cycles, 777);
+    }
+
+    #[test]
+    fn upload_window_is_bounded() {
+        const { assert!(MAX_UPLOAD_WINDOW >= polyflow_workloads::DEFAULT_ASM_WINDOW) };
+        for w in polyflow_workloads::all() {
+            assert!(w.window <= MAX_UPLOAD_WINDOW, "{}", w.name);
+        }
+        let upload = |window: u64| {
+            let asm = format!("; window: {window}\nfn main {{\n    halt\n}}");
+            parse_request(
+                &format!("{{\"program\":\"{}\"}}", crate::json::escape(&asm)),
+                BUDGET,
+            )
+        };
+        upload(MAX_UPLOAD_WINDOW).unwrap();
+        let e = upload(MAX_UPLOAD_WINDOW + 1).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::BadRequest, "{e}");
+        assert!(e.to_string().contains("window"), "{e}");
     }
 
     #[test]

@@ -192,6 +192,9 @@ pub struct ServiceStats {
     pub registry_entries: u64,
     /// Program preparations run.
     pub registry_prepared: u64,
+    /// Heap bytes held by the registry's prepared programs
+    /// ([`PreparedWorkload::heap_bytes`]).
+    pub registry_bytes: u64,
     /// Milliseconds since the service was built.
     pub uptime_ms: u64,
     /// Cache entries replayed from the journal at boot.
@@ -225,7 +228,7 @@ impl ServiceStats {
              \"requests\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\
              \"deadline_exceeded\":{},\"retry_after\":{}}},\
              \"batches\":{{\"count\":{},\"cells\":{}}},\
-             \"registry\":{{\"entries\":{},\"prepared\":{}}},\
+             \"registry\":{{\"entries\":{},\"prepared\":{},\"bytes\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
              \"inserts\":{},\"entries\":{},\
              \"warm_start\":{},\"journal_bytes\":{}}},\
@@ -243,6 +246,7 @@ impl ServiceStats {
             self.batched_cells,
             self.registry_entries,
             self.registry_prepared,
+            self.registry_bytes,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
@@ -559,6 +563,15 @@ impl Service {
     /// Counter snapshot.
     pub fn stats(&self) -> ServiceStats {
         let account = self.account.lock().unwrap();
+        let (registry_entries, registry_bytes) = {
+            let registry = self.registry.lock().unwrap();
+            let bytes: usize = registry
+                .values()
+                .filter_map(|e| e.slot.get()?.as_ref().ok())
+                .map(|w| w.heap_bytes())
+                .sum();
+            (registry.len() as u64, bytes as u64)
+        };
         ServiceStats {
             queue_depth: self.core.lock().unwrap().queue.len() as u64,
             queue_capacity: self.config.queue_capacity as u64,
@@ -570,8 +583,9 @@ impl Service {
             retry_after: self.retry_after.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched_cells: self.batched_cells.load(Ordering::Relaxed),
-            registry_entries: self.registry.lock().unwrap().len() as u64,
+            registry_entries,
             registry_prepared: self.prepared.load(Ordering::Relaxed),
+            registry_bytes,
             uptime_ms: self.started.elapsed().as_millis() as u64,
             warm_start: self.warm_start,
             journal_bytes: self.journal.as_ref().map_or(0, |j| j.size_bytes()),
@@ -1026,6 +1040,26 @@ mod tests {
         svc.shutdown_and_join();
     }
 
+    /// `registry.bytes` counts the prepared bundled programs, and is
+    /// back at that figure once an upload's reply is out.
+    #[test]
+    fn registry_bytes_count_resident_programs_only() {
+        let svc = Service::new(ServiceConfig {
+            jobs: 1,
+            ..ServiceConfig::default()
+        });
+        svc.start();
+        assert_eq!(svc.stats().registry_bytes, 0);
+        svc.submit(sim_request("gzip", "postdoms", 50_000_000))
+            .expect("cell runs");
+        let bundled = svc.stats().registry_bytes;
+        assert!(bundled > 0);
+        svc.submit(upload_request(SAXPY, "postdoms", 1_000_000))
+            .expect("cell runs");
+        assert_eq!(svc.stats().registry_bytes, bundled);
+        svc.shutdown_and_join();
+    }
+
     /// The trade-off of not keeping uploads: the same cell asked again
     /// is a cache hit, but a new cell of the same upload prepares again.
     #[test]
@@ -1148,5 +1182,6 @@ mod tests {
         let registry = stats.get("registry").unwrap();
         assert_eq!(registry.get("entries").unwrap().as_u64(), Some(0));
         assert_eq!(registry.get("prepared").unwrap().as_u64(), Some(0));
+        assert_eq!(registry.get("bytes").unwrap().as_u64(), Some(0));
     }
 }

@@ -623,6 +623,48 @@ fn wire_deadline_exceeded_is_typed_and_counted() {
     blocker.join().unwrap();
 }
 
+/// A hostile upload — a spin loop asking for a 400M-instruction window
+/// — is refused at parse time with a typed `bad_request`, so a bundled
+/// request sent alongside it, on the same single worker, still meets a
+/// 2 s deadline.
+#[test]
+fn hostile_upload_window_is_rejected_and_spares_concurrent_requests() {
+    let mut server = Server::spawn(
+        "127.0.0.1:0",
+        ServiceConfig {
+            jobs: 1,
+            ..test_config()
+        },
+    )
+    .expect("bind");
+    let spin = "; window: 400000000\nfn main {\nspin:\n    j spin\n}";
+    let hostile = format!("{{\"program\":\"{}\"}}", json::escape(spin));
+    let bundled = format!(
+        "{{\"workload\":\"gzip\",\"policy\":\"superscalar\",\
+         \"config\":{{\"max_cycles\":{BUDGET}}},\"deadline_ms\":2000}}"
+    );
+    // The hostile line goes out first; the bundled one follows on its
+    // own connection without waiting for the hostile reply.
+    let mut c = Client::connect(&server);
+    c.writer
+        .write_all(format!("{hostile}\n").as_bytes())
+        .expect("write request");
+    let bundled_reply = spawn_exchange(server.addr(), bundled.clone());
+    let mut reply = String::new();
+    c.reader.read_line(&mut reply).expect("read response");
+    assert_eq!(error_kind(reply.trim_end()), "bad_request", "{reply}");
+    assert!(reply.contains("window"), "{reply}");
+    let reply = bundled_reply.join().unwrap();
+    assert_eq!(reply.trim_end(), offline_expected(&bundled));
+    let s = server.service().stats();
+    assert_eq!(
+        s.registry_prepared, 1,
+        "the hostile upload was never prepared"
+    );
+    assert_eq!(s.deadline_exceeded, 0);
+    server.shutdown();
+}
+
 /// The persistent tier end to end, in process: populate → drain →
 /// reopen the same `cache_dir` → the warm service answers with the very
 /// same bytes without simulating anything.

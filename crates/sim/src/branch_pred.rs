@@ -185,6 +185,11 @@ impl PredictionTrace {
         self.mispredicted[i]
     }
 
+    /// Heap bytes held by the per-entry outcomes.
+    pub fn heap_bytes(&self) -> usize {
+        self.mispredicted.capacity()
+    }
+
     /// Retired conditional branches.
     pub fn cond_branches(&self) -> u64 {
         self.cond_branches

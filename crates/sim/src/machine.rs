@@ -84,8 +84,8 @@ const F_IN_SCHED: u8 = 1 << 6;
 
 /// [`ConsumerIndex::meta`] encoding: bits 0-1 issue latency class, bits
 /// 2-3 fetch control class, bit 4 branch-taken. The issue and fetch hot
-/// loops read this one byte (plus a flat address array) instead of the
-/// 40-byte `TraceEntry` and its instruction decode.
+/// loops read this one byte (plus the trace's `pc` and address columns)
+/// instead of decoding the entry's instruction.
 const K_ISSUE_MASK: u8 = 0b11;
 const K_LOAD: u8 = 1;
 const K_STORE: u8 = 2;
@@ -120,10 +120,6 @@ pub struct ConsumerIndex {
     /// Packed per-instruction issue/fetch class byte (see the `K_*`
     /// constants).
     meta: Vec<u8>,
-    /// Effective data address for loads and stores, `0` otherwise.
-    data_addr: Vec<u64>,
-    /// Static PC word index (`byte address == word * 4`).
-    pc_word: Vec<u32>,
 }
 
 impl ConsumerIndex {
@@ -154,8 +150,6 @@ impl ConsumerIndex {
             }
         }
         let mut meta = vec![0u8; n];
-        let mut data_addr = vec![0u64; n];
-        let mut pc_word = vec![0u32; n];
         for (i, e) in trace.iter().enumerate() {
             let issue_kind = match e.class() {
                 InstClass::Load => K_LOAD,
@@ -171,17 +165,20 @@ impl ConsumerIndex {
             };
             meta[i] =
                 issue_kind | (fetch_kind << K_FETCH_SHIFT) | if e.taken { K_TAKEN } else { 0 };
-            data_addr[i] = e.mem_addr.unwrap_or(0);
-            pc_word[i] = e.pc.index() as u32;
         }
         ConsumerIndex {
             offsets,
             edges,
             min_prod,
             meta,
-            data_addr,
-            pc_word,
         }
+    }
+
+    /// Heap bytes held by the index.
+    fn heap_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.edges.capacity() + self.min_prod.capacity())
+            * size_of::<u32>()
+            + self.meta.capacity()
     }
 
     /// The consumers of dynamic instruction `p`, in ascending trace order.
@@ -288,6 +285,14 @@ impl PreparedTrace {
     /// Inverted dataflow (who consumes each instruction's results).
     pub(crate) fn consumers(&self) -> &ConsumerIndex {
         &self.consumers
+    }
+
+    /// Heap bytes of the parts built for this predictor configuration
+    /// (prediction outcomes and the consumer index). The shared trace
+    /// and oracles report their own [`Trace::heap_bytes`],
+    /// [`Dataflow::heap_bytes`] and [`PcIndex::heap_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        self.predictions.heap_bytes() + self.consumers.heap_bytes()
     }
 }
 
@@ -1175,7 +1180,7 @@ impl Machine<'_> {
                 break;
             }
             if retire_hook {
-                source.on_retire(self.trace.entry(i));
+                source.on_retire(&self.trace.entry(i));
             }
             self.rob_used -= 1;
             self.tasks[0].inflight -= 1;
@@ -1438,11 +1443,11 @@ impl Machine<'_> {
             }
             let cons = self.consumers;
             let latency = match cons.meta[i] & K_ISSUE_MASK {
-                K_LOAD => self.hier.access_data(cons.data_addr[i]),
+                K_LOAD => self.hier.access_data(self.trace.mem_addrs()[i]),
                 K_STORE => {
                     // Warm the line so later loads hit (implicit
                     // store-to-load forwarding through the L1).
-                    self.hier.access_data(cons.data_addr[i]);
+                    self.hier.access_data(self.trace.mem_addrs()[i]);
                     1
                 }
                 K_MUL => self.cfg.mul_latency,
@@ -1925,6 +1930,7 @@ impl Machine<'_> {
         let mut budget = self.cfg.width;
         let line_shift = self.cfg.l1i.line_bytes.trailing_zeros();
         let cons = self.consumers;
+        let pc_words = self.trace.pcs();
         let mut head = 0;
         while head < winners.len() {
             let ti = winners[head].0;
@@ -1935,7 +1941,7 @@ impl Machine<'_> {
                     break;
                 }
                 let meta = cons.meta[idx as usize];
-                let byte_addr = (cons.pc_word[idx as usize] as u64) * 4;
+                let byte_addr = (pc_words[idx as usize] as u64) * 4;
                 // Instruction cache: access per line transition (line
                 // sizes are power-of-two, enforced by `CacheConfig`).
                 let line = byte_addr >> line_shift;
@@ -2214,7 +2220,7 @@ impl Machine<'_> {
     /// `ti`).
     fn try_spawn(&mut self, ti: usize, idx: u32, source: &mut dyn SpawnSource) -> bool {
         let e = self.trace.entry(idx as usize);
-        let Some((target, kind)) = source.spawn_at(e) else {
+        let Some((target, kind)) = source.spawn_at(&e) else {
             return false;
         };
         if self.tasks.len() >= self.cfg.max_tasks {
@@ -2877,7 +2883,9 @@ mod tests {
         let mut trace = execute_window(&p, 100_000).unwrap().trace;
         // Corrupt the continuity of the retirement stream.
         let mid = trace.len() / 2;
-        trace.entries_mut()[mid].next_pc = polyflow_isa::Pc::new(999);
+        let mut e = trace.entry(mid);
+        e.next_pc = polyflow_isa::Pc::new(999);
+        trace.set_entry(mid, e);
         let cfg = MachineConfig::superscalar();
         let prep = PreparedTrace::new(&trace, &cfg);
         let e = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();
